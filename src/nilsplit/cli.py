@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import bundles, catalog, lie_algebras, reports, symplectic
@@ -53,12 +54,24 @@ def _resolve_seed(args) -> int:
 def _load(target: str):
     """A file path if one exists, else a catalog name."""
     if os.path.exists(target):
-        with open(target, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(target, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DocumentError(f"cannot read {target}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise DocumentError(
+                f"{target} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
         doc = parse_document(text)
         return doc, digest(text), "file"
     doc = catalog.get(target)
     return doc, digest(emit_document(doc)), "catalog"
+
+
+def _check_max_degree(args) -> None:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise DocumentError(f"--max-degree must be nonnegative, got {args.max_degree}")
 
 
 def _emit(report: dict, args) -> None:
@@ -151,6 +164,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    _check_max_degree(args)
     doc, dig, source = _load(args.algebra)
     report = reports.base_report(doc.name, dig, source)
     ce = _validated_model(doc, report, args)
@@ -248,6 +262,7 @@ def _csplit_sections(report: dict, tm: bundles.TwistedModel, cap: int) -> None:
 
 
 def cmd_csplit(args) -> int:
+    _check_max_degree(args)
     doc, dig, source = _load(args.algebra)
     report = reports.base_report(doc.name, dig, source)
     ce = _validated_model(doc, report, args)
@@ -378,8 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_alpha(argv: list[str]) -> list[str]:
+    """Pass `--alpha -1,0` as `--alpha=-1,0`.
+
+    argparse reads a separate token starting with '-' as an option unless
+    it is a plain negative number, so a twist whose first entry is
+    negative would be refused as a missing value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--alpha" and re.match(r"-[0-9]", token):
+            out[-1] = "--alpha=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except DocumentError as exc:

@@ -3,13 +3,15 @@
 Everything is per-degree: the degree-k component of a free graded algebra
 is finite dimensional even when the algebra is not (polynomial generators
 contribute boundedly many exponents per degree). A DegreeSlice fixes the
-sorted monomial basis in degrees k-1, k, k+1 and the matrices of the
-differential; Betti numbers come from exact ranks, and representative
-cocycles from echelon pivoting, so repeated runs give identical bases.
+sorted monomial basis in degree k and the sparse images of d on it. One
+exact echelon of those images, fed in basis order, gives the rank of d on
+C^k and a cocycle basis of Z^k; a second one, [coboundaries | cocycles],
+picks representatives of H^k and reduces cocycles to class coordinates.
+Both depend only on the basis order, so repeated runs give identical bases.
 
-Ranks go through the fraction-free integer path in nilsplit.linalg. The
-test suite checks every Betti number here against an independent naive
-dense elimination oracle.
+The echelon engine is nilsplit.linalg.Echelon. The test suite checks
+every Betti number here against an independent naive dense elimination
+oracle.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ ONE = Fraction(1)
 
 
 class DegreeSlice:
-    """Degree-k basis and differential matrices of a free DGA.
+    """Degree-k basis of a free DGA and the images of d on it.
 
-    `d_out` is the matrix of d: C^k -> C^{k+1} (rows indexed by the
-    degree-(k+1) basis, columns by the degree-k basis); `d_in` is the
-    matrix of d: C^{k-1} -> C^k. Bases are sorted monomial key lists.
+    `basis` is the sorted list of degree-k monomial keys; `images[j]` is
+    d(basis[j]) as a map from degree-(k+1) monomial keys to nonzero
+    coefficients.
     """
 
     def __init__(self, dga: FreeDGA, degree: int):
@@ -39,71 +41,42 @@ class DegreeSlice:
         self.degree = degree
         alg = dga.algebra
         self.basis = alg.monomials_of_degree(degree)
-        self.basis_below = alg.monomials_of_degree(degree - 1) if degree else []
-        self.basis_above = alg.monomials_of_degree(degree + 1)
-        self.d_out = self._matrix(self.basis, self.basis_above)
-        self.d_in = self._matrix(self.basis_below, self.basis)
-
-    def _matrix(self, src_basis, dst_basis):
-        index = {key: r for r, key in enumerate(dst_basis)}
-        rows = [[ZERO] * len(src_basis) for _ in dst_basis]
-        for c, key in enumerate(src_basis):
-            image = self.dga.d(Element(self.dga.algebra, {key: ONE}))
-            for mon, coeff in image.terms.items():
-                rows[index[mon]][c] = coeff
-        return rows
+        self.images = [dga.d(Element(alg, {key: ONE})).terms for key in self.basis]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, u: Element) -> list[Fraction]:
-        """Coordinate vector of a homogeneous degree-k element."""
-        if u.algebra is not self.dga.algebra:
-            raise StructuralError("element lives over a different algebra")
-        index = {key: r for r, key in enumerate(self.basis)}
-        v = [ZERO] * self.dim
-        for mon, coeff in u.terms.items():
-            r = index.get(mon)
-            if r is None:
-                raise StructuralError(
-                    f"monomial {self.dga.algebra.monomial_str(mon)} is not of degree {self.degree}"
-                )
-            v[r] = coeff
-        return v
-
-    def element(self, coords) -> Element:
-        terms = {key: c for key, c in zip(self.basis, coords) if c}
-        return Element(self.dga.algebra, terms)
-
 
 class CohomologyBasis:
     """Chosen representatives of H^k and reduction mod coboundaries."""
 
-    def __init__(self, slice_: DegreeSlice, boundary_cols, representatives_coords):
+    def __init__(self, slice_: DegreeSlice, echelon: linalg.Echelon, n_boundary: int):
         self.slice = slice_
         self.degree = slice_.degree
-        self._rep_coords = representatives_coords
-        self.representatives = [slice_.element(v) for v in representatives_coords]
-        self.betti = len(representatives_coords)
-        # Rows of [independent coboundaries | representatives]; solving
-        # against this matrix projects a cocycle onto its class coordinates.
-        self._n_boundary = len(boundary_cols)
-        cols = boundary_cols + representatives_coords
-        self._solve_rows = [list(row) for row in zip(*cols)] if cols else []
+        # kept vectors: independent coboundaries, then the representatives
+        self._echelon = echelon
+        self._n_boundary = n_boundary
+        alg = slice_.dga.algebra
+        self.representatives = [Element(alg, z) for z in echelon.kept[n_boundary:]]
+        self.betti = len(self.representatives)
 
     def reduce(self, u: Element) -> list[Fraction]:
         """Coordinates of a degree-k cocycle in the chosen basis of H^k."""
         du = self.slice.dga.d(u)
         if not du.is_zero():
             raise StructuralError("reduce() expects a cocycle; d(u) != 0")
-        v = self.slice.coordinates(u)
-        if not self._solve_rows:
-            return []
-        x = linalg.solve(self._solve_rows, v)
-        if x is None:
+        alg = self.slice.dga.algebra
+        for mon in u.terms:
+            if alg.monomial_degree(mon) != self.degree:
+                raise StructuralError(
+                    f"monomial {alg.monomial_str(mon)} is not of degree {self.degree}"
+                )
+        rest, combination = self._echelon.residual(u.terms)
+        if rest:
             raise StructuralError("cocycle does not lie in the computed span")
-        return x[self._n_boundary :]
+        first = self._n_boundary
+        return [combination.get(first + i, ZERO) for i in range(self.betti)]
 
     def class_element(self, coords) -> Element:
         out = self.slice.dga.algebra.zero()
@@ -114,17 +87,22 @@ class CohomologyBasis:
 
 
 class Cohomology:
-    """Per-degree cohomology analyzer with cached slices and bases.
+    """Per-degree cohomology analyzer with cached slices, ranks and bases.
 
-    Slices for distinct degrees are independent; max_degree, when given,
-    bounds how far the analyzer will look (polynomial-type algebras are
-    infinite, so callers working with them must cap).
+    Each differential d: C^k -> C^{k+1} is eliminated once; its rank serves
+    both b_k and b_{k+1}. max_degree, when given, bounds how far the
+    analyzer will look (polynomial-type algebras are infinite, so callers
+    working with them must cap).
     """
 
     def __init__(self, dga: FreeDGA, max_degree: int | None = None):
         self.dga = dga
         self.max_degree = max_degree
         self._slices: dict[int, DegreeSlice] = {}
+        # k -> (rank of d on C^k, cocycle basis of Z^k as term maps)
+        self._cycles: dict[int, tuple[int, list[dict]]] = {}
+        # k -> echelon of d(C^k) inside C^{k+1}, until basis(k + 1) takes it
+        self._images: dict[int, linalg.Echelon] = {}
         self._bases: dict[int, CohomologyBasis] = {}
 
     def slice(self, k: int) -> DegreeSlice:
@@ -136,32 +114,62 @@ class Cohomology:
             self._slices[k] = DegreeSlice(self.dga, k)
         return self._slices[k]
 
+    def _differential(self, k: int) -> tuple[int, list[dict]]:
+        """Rank of d on C^k and the cocycle basis of Z^k.
+
+        A monomial whose image lies in the span of the images before it
+        gives one cocycle: the monomial minus its combination of earlier
+        monomials, in the reduced echelon normal form.
+        """
+        if k not in self._cycles:
+            s = self.slice(k)
+            echelon = linalg.Echelon()
+            pivots: list[int] = []
+            cocycles = []
+            for j, image in enumerate(s.images):
+                combination = echelon.add(image)
+                if combination is None:
+                    pivots.append(j)
+                    continue
+                coords = {j: ONE}
+                for q, a in combination.items():
+                    coords[pivots[q]] = -a
+                cocycles.append({s.basis[i]: coords[i] for i in sorted(coords)})
+            self._images[k] = echelon
+            self._cycles[k] = (len(pivots), cocycles)
+        return self._cycles[k]
+
     def betti(self, k: int) -> int:
-        """dim ker d_k - rank d_{k-1}, by exact fraction-free ranks."""
+        """dim C^k - rank d_k - rank d_{k-1}, by exact ranks."""
         if k < 0:
             return 0
         s = self.slice(k)
-        rank_out = linalg.rank(s.d_out, s.dim)
-        rank_in = linalg.rank(s.d_in, len(s.basis_below))
-        return s.dim - rank_out - rank_in
+        rank_in = self._differential(k - 1)[0] if k else 0
+        return s.dim - self._differential(k)[0] - rank_in
 
     def betti_vector(self, cap: int) -> list[int]:
         return [self.betti(k) for k in range(cap + 1)]
+
+    def cocycles(self, k: int) -> list[Element]:
+        """Basis of the degree-k cocycles Z^k, deterministic via echelon order."""
+        alg = self.dga.algebra
+        return [Element(alg, z) for z in self._differential(k)[1]]
 
     def basis(self, k: int) -> CohomologyBasis:
         """Representative cocycles for H^k, deterministic via echelon order."""
         if k not in self._bases:
             s = self.slice(k)
-            cocycles = linalg.nullspace(s.d_out, s.dim)
-            boundary_cols = []
-            reducer = linalg.ColumnReducer(s.dim)
-            if s.basis_below:
-                for col in zip(*s.d_in):
-                    col = list(col)
-                    if reducer.add(col):
-                        boundary_cols.append(col)
-            reps = [z for z in cocycles if reducer.add(z)]
-            self._bases[k] = CohomologyBasis(s, boundary_cols, reps)
+            cocycles = self._differential(k)[1]
+            if k:
+                # the images of C^{k-1}, in basis order, are the coboundaries
+                self._differential(k - 1)
+                echelon = self._images.pop(k - 1)
+            else:
+                echelon = linalg.Echelon()
+            n_boundary = len(echelon.kept)
+            for z in cocycles:
+                echelon.add(z)
+            self._bases[k] = CohomologyBasis(s, echelon, n_boundary)
         return self._bases[k]
 
     def cup(self, p: int, coords_p, q: int, coords_q) -> list[Fraction]:

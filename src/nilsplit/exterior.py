@@ -6,7 +6,9 @@ is constructed. A monomial is a flat tuple (i0, e0, i1, e1, ...) in normal
 form: indices strictly ascending, exponents positive, and exponent <= 1
 for odd-degree generators since odd squares vanish. An Element maps
 monomial keys to nonzero Fractions; inhomogeneous elements are allowed and
-expose their homogeneous pieces by degree.
+expose their homogeneous pieces by degree. Products merge monomial keys
+with their Koszul signs in merge_monomials, the inner loop of every
+product downstream.
 
 Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
@@ -21,11 +23,73 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from . import kernels
 from .errors import StructuralError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def merge_monomials(key_a, key_b, parity):
+    """Multiply two normal-form monomial keys.
+
+    Keys are flat tuples (i0, e0, i1, e1, ...) with generator indices
+    strictly ascending and exponents positive; parity[i] is 1 when generator
+    i has odd degree. Returns (sign, merged_key) where sign is +1 or -1, or
+    (0, ()) when the product vanishes on the square of an odd generator.
+
+    The sign counts transpositions of odd-degree factors needed to merge the
+    concatenated word key_a + key_b back into ascending order: a factor of
+    key_b at index j moves past every not-yet-emitted odd factor of key_a,
+    and contributes only if it is itself odd. Even generators never sign.
+    """
+    if not key_a:
+        return 1, key_b
+    if not key_b:
+        return 1, key_a
+    la = len(key_a)
+    lb = len(key_b)
+    odd_left = 0
+    i = 0
+    while i < la:
+        if parity[key_a[i]]:
+            odd_left += 1
+        i += 2
+    out = []
+    inv = 0
+    pa = 0
+    pb = 0
+    while pa < la and pb < lb:
+        ia = key_a[pa]
+        ib = key_b[pb]
+        if ia < ib:
+            out.append(ia)
+            out.append(key_a[pa + 1])
+            if parity[ia]:
+                odd_left -= 1
+            pa += 2
+        elif ib < ia:
+            if parity[ib]:
+                inv += odd_left
+            out.append(ib)
+            out.append(key_b[pb + 1])
+            pb += 2
+        else:
+            if parity[ia]:
+                return 0, ()
+            out.append(ia)
+            out.append(key_a[pa + 1] + key_b[pb + 1])
+            pa += 2
+            pb += 2
+    while pa < la:
+        out.append(key_a[pa])
+        out.append(key_a[pa + 1])
+        pa += 2
+    while pb < lb:
+        # key_a exhausted, so odd_left == 0 and no further sign arises
+        out.append(key_b[pb])
+        out.append(key_b[pb + 1])
+        pb += 2
+    return (-1 if inv & 1 else 1), tuple(out)
 
 
 class Generator(NamedTuple):
@@ -243,14 +307,14 @@ class Element:
         return NotImplemented
 
     def __mul__(self, other):
-        """Graded-commutative product; Koszul signs via the merge kernel."""
+        """Graded-commutative product; Koszul signs via merge_monomials."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_algebra(other)
         parity = self.algebra.parity
-        merge = kernels.merge_monomials
+        merge = merge_monomials
         acc: dict[tuple, Fraction] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():

@@ -156,15 +156,20 @@ def validate(spec: LieAlgebraSpec) -> ValidationReport:
     dims = [n]
     derived_dim = None
     for _ in range(n + 1):
-        next_span = [br(basis[i], w) for i in range(n) for w in current]
-        dim_next = linalg.rank(next_span, n) if next_span else 0
+        echelon = linalg.Echelon()
+        independent = []
+        for i in range(n):
+            for w in current:
+                v = br(basis[i], w)
+                if echelon.add({c: x for c, x in enumerate(v) if x}) is None:
+                    independent.append(v)
+        dim_next = len(independent)
         if derived_dim is None:
             derived_dim = dim_next
         dims.append(dim_next)
         if dim_next == 0 or dim_next == dims[-2]:
             break
-        reduced, pivots = linalg.rref(next_span)
-        current = [reduced[r] for r in range(len(pivots))]
+        current = independent
     nilpotent = dims[-1] == 0
     nilpotency_class = len(dims) - 1 if nilpotent else None
 

@@ -1,160 +1,144 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one sparse echelon engine.
 
-The production rank path clears denominators row by row and runs
-fraction-free (Bareiss) elimination over the integers through the kernel
-backend; ranks are therefore exact and never touch rationals mid-stream.
-Echelon forms, nullspaces and solves use plain rational elimination with
-deterministic first-nonzero pivoting, so every basis and report downstream
-is byte-stable. Matrices are dense lists of row lists; the complexes met
-here live in fewer than a few hundred dimensions per degree.
+A vector is a dict from a totally ordered index to a nonzero Fraction;
+absent indices are zero. `Echelon` keeps, in arrival order, the vectors
+that enlarge the span of those kept before them, and writes every other
+vector as a combination of the kept ones. Which vectors are kept and those
+combinations depend only on the arrival order, never on how elimination
+proceeds, so the kernel bases, representatives and coordinates built on
+top are byte-stable. `rank` and `nullspace` are the entry points for dense
+matrices given as lists of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-from . import kernels
+from heapq import heapify, heappop, heappush
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def clear_row_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row to integers; row scaling preserves rank and nullspace."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        out.append([int(x * lcm) for x in row])
-    return out
+class Echelon:
+    """Incremental exact echelon of sparse vectors.
+
+    Each kept vector is stored reduced against the earlier ones and scaled
+    so that its pivot, its smallest index, has entry 1. A vector is reduced
+    by clearing pivots smallest first; clearing one only creates entries at
+    larger indices, so a single ascending pass clears every pivot.
+    """
+
+    def __init__(self):
+        self.kept: list[dict] = []
+        # pivot -> (kept position, reduced vector without its pivot entry)
+        self._pivots: dict = {}
+        # per kept position: (1 / pivot entry before scaling,
+        #                      {earlier kept position: factor cleared})
+        self._steps: list[tuple[Fraction, dict[int, Fraction]]] = []
+
+    def _eliminate(self, vector: dict):
+        """(rest, factors): rest = vector - sum factors[q] * reduced[q]."""
+        rest = dict(vector)
+        factors = {}
+        pivots = self._pivots
+        heap = [i for i in rest if i in pivots]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            f = rest.pop(p, None)
+            if f is None:  # cancelled after it was queued
+                continue
+            position, tail = pivots[p]
+            factors[position] = f
+            for i, x in tail.items():
+                y = rest.get(i)
+                if y is None:
+                    rest[i] = -f * x
+                    if i in pivots:
+                        heappush(heap, i)
+                else:
+                    y -= f * x
+                    if y:
+                        rest[i] = y
+                    else:
+                        del rest[i]
+        return rest, factors
+
+    def _combination(self, factors: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Rewrite a combination of reduced vectors over the kept vectors."""
+        factors = dict(factors)
+        combination = {}
+        # reduced[q] = inv * (kept[q] - sum_{r < q} earlier[r] * reduced[r])
+        for q in range(max(factors, default=-1), -1, -1):
+            if not factors:
+                break
+            f = factors.pop(q, None)
+            if not f:
+                continue
+            inv, earlier = self._steps[q]
+            a = f * inv
+            combination[q] = a
+            for r, g in earlier.items():
+                factors[r] = factors.get(r, ZERO) - a * g
+        return combination
+
+    def residual(self, vector: dict) -> tuple[dict, dict[int, Fraction]]:
+        """(rest, combination) with vector = sum combination[q] * kept[q] + rest.
+
+        rest is zero at every pivot; it is empty exactly when the vector
+        lies in the span of the kept vectors.
+        """
+        rest, factors = self._eliminate(vector)
+        return rest, self._combination(factors)
+
+    def add(self, vector: dict) -> dict[int, Fraction] | None:
+        """Keep the vector and return None if it enlarges the span.
+
+        Otherwise return its combination over the kept vectors, a map from
+        kept position to nonzero coefficient (empty for the zero vector).
+        """
+        rest, factors = self._eliminate(vector)
+        if not rest:
+            return self._combination(factors)
+        p = min(rest)
+        inv = ONE / rest.pop(p)
+        self._pivots[p] = (len(self.kept), {i: x * inv for i, x in rest.items()})
+        self._steps.append((inv, factors))
+        self.kept.append(vector)
+        return None
+
+
+def _sparse(values) -> dict[int, Fraction]:
+    return {i: x for i, x in enumerate(values) if x}
 
 
 def rank(rows: list[list[Fraction]], ncols: int | None = None) -> int:
-    """Exact rank via integer Bareiss elimination (the production path)."""
-    if not rows:
-        return 0
-    n = len(rows[0]) if ncols is None else ncols
-    if n == 0:
-        return 0
-    return kernels.bareiss_rank(clear_row_denominators(rows), n)
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (fresh copy) and its pivot columns."""
-    m = len(rows)
-    work = [list(row) for row in rows]
-    if m == 0:
-        return work, []
-    n = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = -1
-        for i in range(r, m):
-            if work[i][c]:
-                p = i
-                break
-        if p < 0:
-            continue
-        work[p], work[r] = work[r], work[p]
-        piv = work[r][c]
-        if piv != 1:
-            work[r] = [x / piv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return work, pivots
+    """Exact rank of a dense matrix; the rows fix the width, ncols may be omitted."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(_sparse(row))
+    return len(echelon.kept)
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, ascending."""
-    if ncols == 0:
-        return []
-    if not rows:
-        return [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of the right kernel, one vector per free column, ascending.
+
+    A column is free when it lies in the span of the columns before it. Its
+    vector has a 1 there, 0 at every other free column, and minus the
+    column's unique coordinates over the earlier pivot columns: the reduced
+    echelon normal form, the same for every exact method.
+    """
+    echelon = Echelon()
+    pivot_columns: list[int] = []
     basis = []
-    for f in free:
+    for j, column in enumerate(zip(*rows) if rows else [()] * ncols):
+        combination = echelon.add(_sparse(column))
+        if combination is None:
+            pivot_columns.append(j)
+            continue
         v = [ZERO] * ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+        v[j] = ONE
+        for q, a in combination.items():
+            v[pivot_columns[q]] = -a
         basis.append(v)
     return basis
-
-
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve A x = rhs exactly; None when inconsistent.
-
-    Free variables, if any, are set to zero; when A has full column rank
-    the solution is unique.
-    """
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][n]
-    return x
-
-
-def mat_vec(rows: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in rows]
-
-
-def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not a or not b:
-        return []
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
-
-
-class ColumnReducer:
-    """Incremental column-space tracker with deterministic pivoting.
-
-    Feeding columns one at a time mirrors echelonizing [first | second | ...]
-    left to right: a column is accepted exactly when it enlarges the span of
-    everything accepted before it.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._reduced: list[tuple[int, list[Fraction]]] = []  # (pivot row, column)
-
-    @property
-    def rank(self) -> int:
-        return len(self._reduced)
-
-    def residual(self, col: list[Fraction]) -> list[Fraction]:
-        v = list(col)
-        for p, basis_col in self._reduced:
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, basis_col)]
-        return v
-
-    def add(self, col: list[Fraction]) -> bool:
-        """Reduce col against the span; keep it (True) if independent."""
-        v = self.residual(col)
-        for p in range(self.dim):
-            if v[p]:
-                piv = v[p]
-                if piv != 1:
-                    v = [a / piv for a in v]
-                self._reduced.append((p, v))
-                return True
-        return False

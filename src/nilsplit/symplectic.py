@@ -201,13 +201,8 @@ class SymplecticSearchResult:
 
 def closed_two_form_basis(model: CEModel) -> list[SymplecticForm]:
     """Basis of Z^2, the closed 2-forms; all of degree 2 lies in Lambda^2 V."""
-    slice2 = Cohomology(model.dga).slice(2)
-    vectors = linalg.nullspace(slice2.d_out, slice2.dim)
-    forms = []
-    for v in vectors:
-        omega = slice2.element(v)
-        forms.append(SymplecticForm.from_element(model, omega))
-    return forms
+    cocycles = Cohomology(model.dga).cocycles(2)
+    return [SymplecticForm.from_element(model, omega) for omega in cocycles]
 
 
 def _combine(basis_matrices, weights, n):

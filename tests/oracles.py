@@ -1,11 +1,11 @@
 """Independent oracles for differential testing of the production paths.
 
-The production Betti pipeline clears denominators and runs fraction-free
-integer elimination through the selected kernel backend. The oracle here
-deliberately takes the other road: dense textbook Gaussian elimination
-over Fraction with naive first-nonzero pivoting and no fraction-free
-tricks, plus its own matrix assembly from the differential. Anything the
-two roads disagree on is a bug.
+The production Betti pipeline eliminates the sparse images of the
+differential in one incremental echelon (nilsplit.linalg.Echelon). The
+oracle here deliberately takes the other road: dense textbook Gaussian
+elimination over Fraction with naive first-nonzero pivoting, plus its own
+dense matrix assembly from the differential. Anything the two roads
+disagree on is a bug.
 
 Also here: a brute-force Koszul sign (explicit word sorting) and a grid
 enumerator for admissible twisting matrices.
@@ -88,7 +88,7 @@ def koszul_sign_by_sorting(key_a, key_b, parity):
     Each monomial key becomes the word of its factors (generators repeated
     exponent times); the concatenated word is sorted by adjacent swaps, a
     swap of two odd factors flipping the sign. Equal odd letters mean the
-    product is zero. Returns (sign, merged_key) like the kernels do.
+    product is zero. Returns (sign, merged_key) like merge_monomials does.
     """
 
     def word(key):

@@ -404,3 +404,43 @@ def test_cli_bad_base_or_alpha_specs(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "csplit", "torus2", "--alpha", "x,y")
     assert code == 2
+
+
+def test_cli_alpha_with_leading_minus_parses_as_value(capsys):
+    code, out, _ = run_cli(
+        capsys, "csplit", "torus2", "--alpha", "-1,0", "--format", "machine"
+    )
+    assert code == 0
+    glued = run_cli(capsys, "csplit", "torus2", "--alpha=-1,0", "--format", "machine")
+    assert (code, out) == glued[:2]
+    assert json.loads(out)["total_betti"] == [1, 1, 0, 1, 1]
+    # heisenberg3 is odd-dimensional: refused for that, not for the alpha
+    code, _, _ = run_cli(capsys, "csplit", "heisenberg3", "--alpha", "-1,0,0")
+    assert code == 3
+
+
+def test_cli_directory_input_is_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_non_utf8_input_is_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(GOOD.replace('"kt"', '"k\xe9"').encode("latin-1"))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+
+
+def test_cli_negative_max_degree_is_error(capsys):
+    for argv in (
+        ("cohomology", "heisenberg3", "--max-degree", "-1"),
+        ("csplit", "kodaira-thurston", "--max-degree", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "--max-degree" in err

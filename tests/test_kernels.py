@@ -1,28 +1,20 @@
-"""Kernel backends agree with each other and with brute-force references."""
+"""The Koszul merge and the exact echelon engine against brute-force references."""
 
-import os
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilsplit import _kernels_py, kernels
+from nilsplit import linalg
+from nilsplit.exterior import merge_monomials
 from oracles import koszul_sign_by_sorting, rank_naive
 
-try:
-    from nilsplit import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_kernels_py] + ([_speedups] if _speedups is not None else [])
-
-
-def test_selected_backend_reports_itself():
-    assert kernels.BACKEND in ("c", "python")
-    if os.environ.get("NILSPLIT_PURE_PYTHON"):
-        assert kernels.BACKEND == "python"
-    elif _speedups is not None:
-        assert kernels.BACKEND == "c"
+matrices = st.lists(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
 def _random_key(rng, ngens, parity):
@@ -34,40 +26,29 @@ def _random_key(rng, ngens, parity):
     return tuple(key)
 
 
-def test_merge_matches_sorting_oracle_and_backends_agree():
+def test_merge_matches_sorting_oracle():
     rng = random.Random(99)
     parity = bytes([1, 1, 0, 1, 0, 0, 1, 0])
     for _ in range(2000):
         a = _random_key(rng, 8, parity)
         b = _random_key(rng, 8, parity)
-        expected = koszul_sign_by_sorting(a, b, parity)
-        for impl in BACKENDS:
-            assert impl.merge_monomials(a, b, parity) == expected
+        assert merge_monomials(a, b, parity) == koszul_sign_by_sorting(a, b, parity)
 
 
 def test_merge_empty_keys():
     parity = bytes([1, 0])
-    for impl in BACKENDS:
-        assert impl.merge_monomials((), (0, 1), parity) == (1, (0, 1))
-        assert impl.merge_monomials((1, 2), (), parity) == (1, (1, 2))
-        assert impl.merge_monomials((), (), parity) == (1, ())
+    assert merge_monomials((), (0, 1), parity) == (1, (0, 1))
+    assert merge_monomials((1, 2), (), parity) == (1, (1, 2))
+    assert merge_monomials((), (), parity) == (1, ())
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-        min_size=1,
-        max_size=6,
-    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-)
-def test_bareiss_rank_matches_naive(rows):
-    expected = rank_naive(rows)
-    for impl in BACKENDS:
-        assert impl.bareiss_rank([list(r) for r in rows]) == expected
+@given(matrices)
+def test_rank_matches_naive(rows):
+    assert linalg.rank([list(r) for r in rows]) == rank_naive(rows)
 
 
-def test_bareiss_rank_deficient_and_structured():
+def test_rank_deficient_and_structured():
     cases = [
         [[0, 0], [0, 0]],
         [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
@@ -76,15 +57,29 @@ def test_bareiss_rank_deficient_and_structured():
         [[0, 1], [1, 0]],
     ]
     for rows in cases:
-        expected = rank_naive(rows)
-        for impl in BACKENDS:
-            assert impl.bareiss_rank([list(r) for r in rows]) == expected
+        assert linalg.rank([list(r) for r in rows]) == rank_naive(rows)
 
 
-def test_bareiss_large_entries_stay_exact():
+def test_rank_large_entries_stay_exact():
     # Hilbert-like integer matrix whose minors overflow 64-bit words
     n = 8
     rows = [[10 ** (i + j) + i + 2 * j for j in range(n)] for i in range(n)]
-    expected = rank_naive(rows)
-    for impl in BACKENDS:
-        assert impl.bareiss_rank([list(r) for r in rows]) == expected
+    assert linalg.rank(rows) == rank_naive(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_nullspace_is_the_reduced_echelon_kernel(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0])
+    # column j is free when it lies in the span of the columns before it
+    free = [
+        j
+        for j in range(ncols)
+        if rank_naive([r[: j + 1] for r in rows]) == rank_naive([r[:j] for r in rows])
+    ]
+    kernel = linalg.nullspace(rows, ncols)
+    assert len(kernel) == ncols - rank_naive(rows) == len(free)
+    for v, f in zip(kernel, free):
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+        assert [v[g] for g in free] == [int(g == f) for g in free]
