@@ -10,8 +10,9 @@
 Positional inputs are file paths first, then built-in catalog names.
 Every subcommand accepts --format human|machine. The seed comes from
 --seed, else the NILSPLIT_SEED environment variable, else 0. Exit codes:
-0 success, 2 input or validation error, 3 no symplectic structure found
-or provable, 4 twisting matrix incompatible with the fiber differential.
+0 success, 2 input or validation error, 3 no symplectic structure (the
+document's omega fails certification, or none exists), 4 twisting matrix
+incompatible with the fiber differential.
 """
 
 from __future__ import annotations
@@ -121,8 +122,10 @@ def _certificate_section(cert: symplectic.SymplecticCertificate) -> dict:
 def _omega_for(doc: AlgebraDocument, ce, args, report: dict):
     """A certified form from the document or from the seeded search.
 
-    Returns (form, exit_code); on failure the report explains which of the
-    two negative outcomes occurred and the code is EXIT_NO_SYMPLECTIC.
+    Returns (form, exit_code). On failure the code is EXIT_NO_SYMPLECTIC and
+    the report says why: "omega-not-symplectic" for a document form that
+    fails certification, else "definitively-none" from the search, a proof
+    that no closed 2-form is nondegenerate (search.reason names it).
     """
     if getattr(args, "omega_from_file", False) or doc.omega is not None:
         coeffs = doc.omega_coeffs()
@@ -171,14 +174,16 @@ def cmd_cohomology(args) -> int:
     if ce is None:
         return EXIT_INPUT
     cap = args.max_degree if args.max_degree is not None else ce.n
-    # duality and the Euler characteristic always refer to the full range
-    full = Cohomology(ce.dga, max_degree=max(cap, ce.n))
-    bettis = full.betti_vector(cap)
+    # duality and the Euler characteristic need every degree up to n, so
+    # below that cap they are not computed and reported as null
+    coh = Cohomology(ce.dga, max_degree=cap)
+    bettis = coh.betti_vector(cap)
+    full = cap >= ce.n
     report["cohomology"] = {
         "max_degree": cap,
         "betti": bettis,
-        "poincare_duality": poincare_check(full, ce.n),
-        "euler_characteristic": full.euler_characteristic(ce.n),
+        "poincare_duality": poincare_check(coh, ce.n) if full else None,
+        "euler_characteristic": coh.euler_characteristic(ce.n) if full else None,
         "b1_equals_dim_minus_derived": bettis[1] == ce.n - ce.report.derived_dim
         if cap >= 1
         else None,

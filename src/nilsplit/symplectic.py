@@ -13,11 +13,13 @@ everything derived from it (rank, kernel witnesses, Pfaffian) follow.
 The search for a symplectic form runs over the space Z^2 of closed
 2-forms. Nondegeneracy is a Zariski-open condition, so random rational
 points hit it whenever it is nonempty; every hit is re-certified exactly.
-Definitive negatives use the Pfaffian of the generic closed form: it is a
-homogeneous polynomial of total degree dim/2 in the Z^2-coordinates, and
-vanishing on the full principal lattice of that total degree (all
-nonnegative integer points with coordinate sum <= dim/2) forces the
-polynomial to vanish identically, turning a failed search into a proof.
+When the random phase misses, the span of products of closed 2-forms
+decides: a 2-form on an n-dimensional algebra is nondegenerate iff its
+power omega^{n/2} is nonzero, and by polarization omega^{n/2} vanishes for
+every closed omega iff every product of n/2 elements of a basis of Z^2
+does. The span of those products is built one factor at a time, so a
+failed search becomes a proof with no budget, and a surviving product
+names a small grid of weights on which a nondegenerate form must lie.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
 
 from . import linalg
 from .cohomology import Cohomology
@@ -181,9 +183,10 @@ class SymplecticSearchResult:
 
     status is one of:
       "found"             a certified form is attached;
-      "definitively-none" no symplectic form exists on this model;
-      "search-exhausted"  no witness found and the decision lattice was
-                          over budget, so the negative is not certified.
+      "definitively-none" no symplectic form exists on this model, proved
+                          by the odd dimension, by Z^2 = 0, or by the
+                          vanishing of every product of dim/2 closed
+                          2-forms (reason names which).
     """
 
     status: str
@@ -217,65 +220,41 @@ def _combine(basis_matrices, weights, n):
     return A
 
 
-def _lattice_points(m: int, total: int):
-    """Nonnegative integer m-tuples with coordinate sum <= total."""
-    point = [0] * m
-
-    def rec(i: int, left: int):
-        if i == m:
-            yield tuple(point)
-            return
-        for v in range(left + 1):
-            point[i] = v
-            yield from rec(i + 1, left - v)
-        point[i] = 0
-
-    yield from rec(0, total)
-
-
 def find_symplectic(
     model: CEModel,
     seed: int = 0,
     max_trials: int = 64,
-    lattice_budget: int = 200_000,
 ) -> SymplecticSearchResult:
     """Search Z^2 for a nondegenerate element; decide when none exists.
 
     Random phase: coefficients from the pool {-2,-1,1,2}, widening every 16
     trials; every candidate with nonzero Pfaffian is re-certified exactly.
-    Decision phase: evaluate the Pfaffian of the generic closed form on the
-    principal lattice of its total degree. A nonzero value is a witness; an
-    all-zero sweep proves the Pfaffian is identically zero, hence that no
-    closed 2-form is nondegenerate. The lattice has C(m + n/2, n/2) points
-    (m = dim Z^2); beyond lattice_budget the status degrades to
-    "search-exhausted" rather than a certified negative.
+    Decision phase: W_0 = span(1) and W_{j+1} = span(omega_i * w) over the
+    Z^2 basis omega_i and the kept vectors w of W_j. W_j is the span of all
+    products of j basis forms, and omega^{n/2} vanishes on all of Z^2 iff
+    W_{n/2} = 0, so an empty W_j proves that no symplectic form exists.
+    Otherwise a kept vector of W_{n/2} is a nonzero product omega^a for a
+    multiset a of basis indices; the Pfaffian of sum t_i omega_i has a
+    nonzero t^a coefficient, so by the Combinatorial Nullstellensatz (Alon
+    1999) it is nonzero at some t in the grid prod {0..a_i}, at most 2^{n/2}
+    points, and that point is certified like a random hit.
     """
     n = model.n
-    if n % 2:
+
+    def none(trials, closed_dim, reason):
         return SymplecticSearchResult(
-            status="definitively-none",
-            form=None,
-            certificate=None,
-            trials=0,
-            closed_dim=-1,
-            reason=f"odd dimension {n}",
-            seed=seed,
+            "definitively-none", None, None, trials, closed_dim, reason, seed
         )
+
+    if n % 2:
+        return none(0, -1, f"odd dimension {n}")
     basis = closed_two_form_basis(model)
     m = len(basis)
     if m == 0:
-        return SymplecticSearchResult(
-            status="definitively-none",
-            form=None,
-            certificate=None,
-            trials=0,
-            closed_dim=0,
-            reason="no nonzero closed 2-forms",
-            seed=seed,
-        )
+        return none(0, 0, "no nonzero closed 2-forms")
     basis_matrices = [f.matrix() for f in basis]
 
-    def certified(weights, trials):
+    def certified(weights, trials, reason):
         coeffs: dict[tuple[int, int], Fraction] = {}
         for w, f in zip(weights, basis):
             if w:
@@ -293,7 +272,7 @@ def find_symplectic(
             certificate=cert,
             trials=trials,
             closed_dim=m,
-            reason="nondegenerate closed 2-form found and re-certified",
+            reason=reason,
             seed=seed,
         )
 
@@ -305,39 +284,42 @@ def find_symplectic(
         weights = [rng.choice(pool) for _ in range(m)]
         A = _combine(basis_matrices, weights, n)
         if pfaffian(A):
-            return certified(weights, trials)
+            return certified(
+                weights, trials, "nondegenerate closed 2-form found and re-certified"
+            )
 
     half = n // 2
-    if comb(m + half, half) > lattice_budget:
-        return SymplecticSearchResult(
-            status="search-exhausted",
-            form=None,
-            certificate=None,
-            trials=trials,
-            closed_dim=m,
-            reason=(
-                f"no witness in {trials} random trials; decision lattice of "
-                f"{comb(m + half, half)} points exceeds budget {lattice_budget}"
-            ),
-            seed=seed,
-        )
-    for point in _lattice_points(m, half):
+    omegas = [f.omega for f in basis]
+    # the kept products spanning W_j, each with its multiset of basis indices
+    level: list[tuple[tuple[int, ...], Element]] = [((), model.algebra.one())]
+    for j in range(1, half + 1):
+        echelon = linalg.Echelon()
+        kept = []
+        for indices, w in level:
+            for i, omega in enumerate(omegas):
+                p = omega * w
+                if echelon.add(p.terms) is None:
+                    kept.append((indices + (i,), p))
+        if not kept:
+            return none(
+                trials,
+                m,
+                f"every {j}-fold product of closed 2-forms vanishes, so "
+                f"omega^{half} = 0 for every closed 2-form omega",
+            )
+        level = kept
+
+    a = level[0][0]
+    for point in product(*(range(a.count(i) + 1) for i in range(m))):
         weights = [Fraction(v) for v in point]
-        A = _combine(basis_matrices, weights, n)
-        if pfaffian(A):
-            return certified(weights, trials)
-    return SymplecticSearchResult(
-        status="definitively-none",
-        form=None,
-        certificate=None,
-        trials=trials,
-        closed_dim=m,
-        reason=(
-            "Pfaffian of the generic closed 2-form vanishes on the full "
-            f"degree-{half} principal lattice, hence identically"
-        ),
-        seed=seed,
-    )
+        if pfaffian(_combine(basis_matrices, weights, n)):
+            return certified(
+                weights,
+                trials,
+                f"no witness in {trials} random trials; grid witness under a "
+                f"nonzero {half}-fold product of closed 2-forms, re-certified",
+            )
+    raise StructuralError("no grid point under a nonzero product is nondegenerate")
 
 
 @dataclass(frozen=True)

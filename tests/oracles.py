@@ -7,8 +7,10 @@ elimination over Fraction with naive first-nonzero pivoting, plus its own
 dense matrix assembly from the differential. Anything the two roads
 disagree on is a bug.
 
-Also here: a brute-force Koszul sign (explicit word sorting) and a grid
-enumerator for admissible twisting matrices.
+Also here: a brute-force Koszul sign (explicit word sorting), a grid
+enumerator for admissible twisting matrices, and a symplectic decision by
+the principal lattice: closed 2-forms from a dense naive kernel, tested for
+nondegeneracy by naive rank at every lattice point.
 """
 
 from __future__ import annotations
@@ -137,3 +139,82 @@ def admissible_alphas_by_grid(fiber, base: BaseModel, omega_fiber: Element, valu
             continue
         hits.append(alpha)
     return hits
+
+
+def nullspace_naive(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Right kernel by dense Gauss-Jordan elimination, one vector per free column."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        piv = work[r][c]
+        work[r] = [a / piv for a in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row, c in zip(work, pivots):
+            v[c] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def closed_two_forms_naive(dga: FreeDGA) -> list[list[tuple[int, int, Fraction]]]:
+    """A basis of Z^2, the kernel of the naive d on C^2, as (i, j, a_ij) lists.
+
+    CE generators have degree 1, so each degree-2 key is x_i x_j with i < j.
+    """
+    rows, ncols = differential_matrix(dga, 2)
+    keys = dga.algebra.monomials_of_degree(2)
+    return [
+        [(key[0], key[2], c) for key, c in zip(keys, v) if c]
+        for v in nullspace_naive(rows, ncols)
+    ]
+
+
+def lattice_points(m: int, total: int):
+    """Nonnegative integer m-tuples with coordinate sum <= total."""
+    point = [0] * m
+
+    def rec(i: int, left: int):
+        if i == m:
+            yield tuple(point)
+            return
+        for v in range(left + 1):
+            point[i] = v
+            yield from rec(i + 1, left - v)
+        point[i] = 0
+
+    yield from rec(0, total)
+
+
+def symplectic_by_lattice(dga: FreeDGA, n: int):
+    """Weights of a nondegenerate closed 2-form, or None when none exists.
+
+    The Pfaffian of sum t_i A_i is a homogeneous polynomial of degree n/2 in
+    the weights, and a polynomial of degree <= n/2 that vanishes on the
+    principal lattice of that degree vanishes identically, so sweeping the
+    lattice with a naive rank test decides. Cost C(m + n/2, n/2) ranks.
+    """
+    if n % 2:
+        return None
+    forms = closed_two_forms_naive(dga)
+    for point in lattice_points(len(forms), n // 2):
+        A = [[ZERO] * n for _ in range(n)]
+        for w, form in zip(point, forms):
+            for i, j, c in form if w else ():
+                A[i][j] += w * c
+                A[j][i] -= w * c
+        if rank_naive(A) == n:
+            return point
+    return None

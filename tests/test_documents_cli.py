@@ -394,7 +394,54 @@ def test_cli_cohomology_respects_small_max_degree(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["cohomology"]["betti"] == [1, 3, 4]
-    assert data["cohomology"]["poincare_duality"] is True
+    # both need every degree up to dim 4: not computed below it
+    assert data["cohomology"]["poincare_duality"] is None
+    assert data["cohomology"]["euler_characteristic"] is None
+
+
+def test_cli_cohomology_max_degree_bounds_the_slices(capsys, monkeypatch):
+    from nilsplit import cohomology
+
+    built = []
+    real = cohomology.DegreeSlice
+
+    def spy(dga, degree):
+        built.append(degree)
+        return real(dga, degree)
+
+    monkeypatch.setattr(cohomology, "DegreeSlice", spy)
+    code, out, _ = run_cli(
+        capsys, "cohomology", "torus6", "--max-degree", "2", "--format", "machine"
+    )
+    assert code == 0
+    assert sorted(built) == [0, 1, 2]
+    data = json.loads(out)["cohomology"]
+    assert data["betti"] == [1, 6, 15]
+    assert data["euler_characteristic"] is None
+
+
+def test_cli_cohomology_full_cap_reports_duality(capsys):
+    for cap in ("4", "6"):
+        code, out, _ = run_cli(
+            capsys, "cohomology", "kodaira-thurston", "--max-degree", cap, "--format", "machine"
+        )
+        assert code == 0
+        data = json.loads(out)["cohomology"]
+        assert data["poincare_duality"] is True
+        assert data["euler_characteristic"] == 0
+        assert data["betti"][:5] == [1, 3, 4, 3, 1]
+
+
+def test_cli_symplectic_report_of_a_decided_negative(capsys):
+    code, out, _ = run_cli(
+        capsys, "symplectic", "heisenberg5-plus-r", "--seed", "4", "--format", "machine"
+    )
+    assert code == 3
+    data = json.loads(out)
+    assert data["status"] == "definitively-none"
+    assert data["search"]["trials"] == 64
+    assert data["search"]["closed_two_form_dim"] == 10
+    assert "3-fold product of closed 2-forms vanishes" in data["search"]["reason"]
 
 
 def test_cli_bad_base_or_alpha_specs(capsys):

@@ -1,0 +1,93 @@
+"""Invariants on seeded random nilpotent algebras, past the catalog.
+
+The generator draws upper-triangular structure constants ([X_i, X_j] only
+has components along X_k with k > j, which makes the algebra nilpotent)
+and keeps a draw when validation passes, i.e. when Jacobi holds. Each draw
+lets its brackets land in the last few basis vectors only, so low-step
+algebras such as h5 + R, the non-symplectic ones in even dimension, come
+up often enough to test the negative decision too.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from oracles import symplectic_by_lattice
+
+from nilsplit.bundles import forcing_check, sphere_base
+from nilsplit.cohomology import Cohomology, poincare_check
+from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
+from nilsplit.symplectic import find_symplectic
+
+F = Fraction
+
+
+def random_nilpotent_specs(seed: int, count: int) -> list[LieAlgebraSpec]:
+    """`count` valid nilpotent algebras of dim 4-6 drawn from the seed."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        n = rng.choice((4, 5, 6, 6))  # dim 6 twice: its verdicts vary most
+        top = rng.randint(1, n - 2)  # brackets land in the last `top` vectors
+        triples = [
+            (i, j, k)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            for k in range(max(j + 1, n - top + 1), n + 1)
+        ]
+        chosen = rng.sample(triples, rng.randint(1, min(len(triples), n)))
+        spec = LieAlgebraSpec(
+            dim=n,
+            brackets=tuple(
+                (i, j, k, F(rng.choice([-2, -1, 1, 2]))) for i, j, k in sorted(chosen)
+            ),
+        )
+        if validate(spec).ok:
+            specs.append(spec)
+    return specs
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return [ce_model(spec) for spec in random_nilpotent_specs(seed=2024, count=40)]
+
+
+def test_corpus_covers_both_verdicts_in_even_dimension(corpus):
+    verdicts = {
+        find_symplectic(model, seed=0, max_trials=0).status
+        for model in corpus
+        if model.n % 2 == 0
+    }
+    assert verdicts == {"found", "definitively-none"}
+
+
+def test_chain_verdict_agrees_with_lattice_oracle(corpus):
+    for model in corpus:
+        oracle = symplectic_by_lattice(model.dga, model.n)
+        for trials in (0, 64):
+            res = find_symplectic(model, seed=3, max_trials=trials)
+            assert res.status in ("found", "definitively-none")
+            assert res.found == (oracle is not None), (model.algebra, trials)
+            if res.found:
+                assert res.certificate.symplectic
+
+
+def test_certified_forms_force_zero_twist(corpus):
+    """The paper's headline: a symplectic fiber admits no Hamiltonian twist."""
+    for model in corpus:
+        res = find_symplectic(model, seed=5)
+        if res.found:
+            report = forcing_check(model, res.form, sphere_base())
+            assert report.forced_zero and report.solution_dimension == 0, model.algebra
+
+
+def test_cohomology_invariants(corpus):
+    """b0 = 1, Poincare duality, chi = 0 and b1 = n - dim[g, g]."""
+    for model in corpus:
+        n = model.n
+        coh = Cohomology(model.dga)
+        betti = coh.betti_vector(n)
+        assert betti[0] == 1
+        assert poincare_check(coh, n)
+        assert coh.euler_characteristic(n) == 0
+        assert betti[1] == n - model.report.derived_dim

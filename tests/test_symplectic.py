@@ -2,16 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
-from oracles import rank_naive
+from oracles import lattice_points, rank_naive
 
 from nilsplit.cohomology import Cohomology
 from nilsplit.errors import StructuralError
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
 from nilsplit.symplectic import (
     SymplecticForm,
-    _lattice_points,
     contraction,
     find_symplectic,
     hard_lefschetz,
@@ -194,39 +194,96 @@ def test_find_symplectic_h5r_definitive(catalog_models):
     assert res.closed_dim == 10
 
 
-def test_find_symplectic_lattice_budget_degrades_gracefully(catalog_models):
-    res = find_symplectic(catalog_models["heisenberg5-plus-r"], seed=0, lattice_budget=5)
-    assert res.status == "search-exhausted"
+def _heisenberg_plus_r(k: int) -> LieAlgebraSpec:
+    """h_{2k+1} + R: [X_i, X_{i+k}] = X_{2k+1} for i <= k, then a central X_{2k+2}."""
+    z = 2 * k + 1
+    return LieAlgebraSpec(
+        dim=z + 1, brackets=tuple((i, i + k, z, F(1)) for i in range(1, k + 1))
+    )
+
+
+def _free_two_step(g: int) -> LieAlgebraSpec:
+    """Free 2-step nilpotent on g generators: [X_i, X_j] = Y_ij."""
+    pairs = [(i, j) for i in range(1, g + 1) for j in range(i + 1, g + 1)]
+    return LieAlgebraSpec(
+        dim=g + len(pairs),
+        brackets=tuple((i, j, g + 1 + p, F(1)) for p, (i, j) in enumerate(pairs)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [_heisenberg_plus_r(4), _free_two_step(4)], ids=["h9-r", "free2step4"]
+)
+def test_find_symplectic_dim10_definitive_without_budget(spec):
+    """Both dim-10 decisions were out of reach of the lattice sweep."""
+    res = find_symplectic(ce_model(spec), seed=0)
+    assert res.status == "definitively-none"
+    assert res.trials == 64
+    assert "5-fold product" in res.reason
+
+
+def test_find_symplectic_grid_witness_on_every_symplectic_catalog_entry(catalog_models):
+    """With no random trials the witness comes from the grid under a product."""
+    from nilsplit import catalog
+
+    for name in catalog.symplectic_names():
+        model = catalog_models[name]
+        for seed in (0, 7):
+            res = find_symplectic(model, seed=seed, max_trials=0)
+            assert res.found and res.trials == 0, name
+            assert "grid witness" in res.reason, name
+            assert is_symplectic(model, res.form.omega).symplectic, name
+            # grid weights are in {0, 1, ..., n/2}: every coefficient is an integer
+            assert all(c.denominator == 1 for _, _, c in res.form.coeffs), name
 
 
 def test_lattice_points_count():
-    pts = list(_lattice_points(3, 2))
+    pts = list(lattice_points(3, 2))
     assert len(pts) == 10  # C(3+2, 2)
     assert len(set(pts)) == 10
     assert all(sum(p) <= 2 for p in pts)
+
+
+def _evaluate(coeffs, point):
+    total = F(0)
+    for mon, c in coeffs.items():
+        term = c
+        for var in mon:
+            term *= point[var]
+        total += term
+    return total
 
 
 def test_lattice_decision_lemma_on_random_cubics():
     """A nonzero homogeneous cubic is nonzero somewhere on the lattice."""
     rng = random.Random(23)
     m, deg = 3, 3
-    from itertools import combinations_with_replacement
-
     monomials = list(combinations_with_replacement(range(m), deg))
     for _ in range(50):
         coeffs = {mon: F(rng.randint(-3, 3)) for mon in monomials}
         if all(c == 0 for c in coeffs.values()):
             continue
-        values = []
-        for point in _lattice_points(m, deg):
-            total = F(0)
-            for mon, c in coeffs.items():
-                term = c
-                for var in mon:
-                    term *= point[var]
-                total += term
-            values.append(total)
+        values = [_evaluate(coeffs, point) for point in lattice_points(m, deg)]
         assert any(values)
+
+
+def test_grid_lemma_on_random_homogeneous_polynomials():
+    """Alon's Combinatorial Nullstellensatz in the form find_symplectic uses.
+
+    A homogeneous polynomial with a nonzero coefficient at t^a is nonzero
+    somewhere on the grid prod {0..a_i}.
+    """
+    rng = random.Random(29)
+    for _ in range(200):
+        m, deg = rng.randint(1, 4), rng.randint(1, 4)
+        monomials = list(combinations_with_replacement(range(m), deg))
+        coeffs = {mon: F(rng.randint(-2, 2)) for mon in monomials if rng.random() < 0.6}
+        a = rng.choice(monomials)
+        coeffs[a] = F(rng.choice([-3, -1, 1, 2]))
+        exponents = [a.count(i) for i in range(m)]
+        grid = list(product(*(range(e + 1) for e in exponents)))
+        assert len(grid) <= 2**deg
+        assert any(_evaluate(coeffs, point) for point in grid), (coeffs, a)
 
 
 def test_top_power_nonzero_for_certified_forms(catalog_models, symplectic_forms):
