@@ -2,14 +2,15 @@
 
     nilsplit validate    FILE-OR-NAME
     nilsplit cohomology  FILE-OR-NAME [--max-degree K]
-    nilsplit symplectic  FILE-OR-NAME [--seed N] [--omega-from-file]
+    nilsplit symplectic  FILE-OR-NAME [--omega-from-file]
     nilsplit csplit      FILE-OR-NAME [--base s2|formal:M]
-                         [--alpha solve|SPEC] [--max-degree K] [--seed N]
+                         [--alpha solve|SPEC] [--max-degree K]
     nilsplit catalog     --list | --emit NAME
 
 Positional inputs are file paths first, then built-in catalog names.
-Every subcommand accepts --format human|machine. The seed comes from
---seed, else the NILSPLIT_SEED environment variable, else 0. Exit codes:
+Every subcommand accepts --format human|machine. The symplectic search is
+deterministic; symplectic and csplit still accept --seed N and ignore it,
+so older command lines keep working. Exit codes:
 0 success, 2 input or validation error, 3 no symplectic structure (the
 document's omega fails certification, or none exists), 4 twisting matrix
 incompatible with the fiber differential.
@@ -38,18 +39,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_SYMPLECTIC = 3
 EXIT_BAD_TWIST = 4
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NILSPLIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DocumentError(f"NILSPLIT_SEED is not an integer: {env!r}") from None
-    return 0
 
 
 def _load(target: str):
@@ -120,7 +109,7 @@ def _certificate_section(cert: symplectic.SymplecticCertificate) -> dict:
 
 
 def _omega_for(doc: AlgebraDocument, ce, args, report: dict):
-    """A certified form from the document or from the seeded search.
+    """A certified form from the document or from the search.
 
     Returns (form, exit_code). On failure the code is EXIT_NO_SYMPLECTIC and
     the report says why: "omega-not-symplectic" for a document form that
@@ -140,12 +129,9 @@ def _omega_for(doc: AlgebraDocument, ce, args, report: dict):
             return None, EXIT_NO_SYMPLECTIC
         return form, EXIT_OK
 
-    seed = _resolve_seed(args)
-    result = symplectic.find_symplectic(ce, seed=seed)
-    report["seed"] = seed
+    result = symplectic.find_symplectic(ce)
     report["search"] = {
         "status": result.status,
-        "trials": result.trials,
         "closed_two_form_dim": result.closed_dim if result.closed_dim >= 0 else None,
         "reason": result.reason,
     }
@@ -194,7 +180,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_symplectic(args) -> int:
     doc, dig, source = _load(args.algebra)
-    report = reports.base_report(doc.name, dig, source, seed=None)
+    report = reports.base_report(doc.name, dig, source)
     ce = _validated_model(doc, report, args)
     if ce is None:
         return EXIT_INPUT
@@ -353,7 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("human", "machine"), default="human")
-        p.add_argument("--seed", type=int, default=None, help="u64 search seed")
+
+    def ignored_seed(p):
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help="accepted and ignored: the search is deterministic",
+        )
 
     p = sub.add_parser("validate", help="check Jacobi and nilpotency")
     p.add_argument("algebra", help="document path or catalog name")
@@ -374,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="require and certify the document's omega field",
     )
     common(p)
+    ignored_seed(p)
     p.set_defaults(func=cmd_symplectic)
 
     p = sub.add_parser("csplit", help="twisted model analysis over a base")
@@ -387,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--omega-from-file", action="store_true")
     common(p)
+    ignored_seed(p)
     p.set_defaults(func=cmd_csplit)
 
     p = sub.add_parser("catalog", help="list or emit built-in algebras")
@@ -418,9 +413,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except DocumentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except NilsplitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

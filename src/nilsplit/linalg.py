@@ -112,8 +112,8 @@ def _sparse(values) -> dict[int, Fraction]:
     return {i: x for i, x in enumerate(values) if x}
 
 
-def rank(rows: list[list[Fraction]], ncols: int | None = None) -> int:
-    """Exact rank of a dense matrix; the rows fix the width, ncols may be omitted."""
+def rank(rows: list[list[Fraction]]) -> int:
+    """Exact rank of a dense matrix given as a list of rows."""
     echelon = Echelon()
     for row in rows:
         echelon.add(_sparse(row))

@@ -3,8 +3,8 @@
 Reports are plain dicts holding only JSON-safe values (strings, ints,
 bools, lists, dicts, None); every algebraic object is stringified by the
 caller before insertion. Machine rendering is sorted-key JSON and human
-rendering is a stable indented text layout; identical inputs and seed
-therefore produce byte-identical output in both formats.
+rendering is a stable indented text layout; identical inputs therefore
+produce byte-identical output in both formats.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import json
 from . import __version__
 
 
-def base_report(input_name: str, input_digest: str, source: str, seed=None) -> dict:
+def base_report(input_name: str, input_digest: str, source: str) -> dict:
     return {
         "tool": {"name": "nilsplit", "version": __version__},
         "input": {"name": input_name, "digest": input_digest, "source": source},
-        "seed": seed,
     }
 
 

@@ -8,23 +8,22 @@ forces X = 0, and the functional omega(X,-) itself is the contraction
     iota_X omega = sum a_ij (alpha_i x_j - alpha_j x_i),  alpha_k = x_k(X).
 
 The upper-triangle coefficients are the stored data; the full matrix and
-everything derived from it (rank, kernel witnesses, Pfaffian) follow.
+everything derived from it (exact rank, kernel witnesses) follow. Exact
+rank is the one nondegeneracy test.
 
 The search for a symplectic form runs over the space Z^2 of closed
-2-forms. Nondegeneracy is a Zariski-open condition, so random rational
-points hit it whenever it is nonempty; every hit is re-certified exactly.
-When the random phase misses, the span of products of closed 2-forms
-decides: a 2-form on an n-dimensional algebra is nondegenerate iff its
-power omega^{n/2} is nonzero, and by polarization omega^{n/2} vanishes for
-every closed omega iff every product of n/2 elements of a basis of Z^2
-does. The span of those products is built one factor at a time, so a
-failed search becomes a proof with no budget, and a surviving product
-names a small grid of weights on which a nondegenerate form must lie.
+2-forms and is a decision procedure with no budget. A 2-form on an
+n-dimensional algebra is nondegenerate iff its power omega^{n/2} is
+nonzero, and by polarization omega^{n/2} vanishes for every closed omega
+iff every product of n/2 elements of a basis of Z^2 does. The span of
+those products is built one factor at a time: if it dies, that is a proof
+that no symplectic form exists; if a product survives, it names a grid of
+at most 2^{n/2} small integer weights on which a nondegenerate form must
+lie, and the first grid point of full rank is returned.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -36,7 +35,6 @@ from .exterior import Element
 from .lie_algebras import CEModel
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
     d_omega = model.d(omega)
     A = sf.matrix()
     n = model.n
-    rank = linalg.rank(A, n)
+    rank = linalg.rank(A)
     witness = None
     if rank < n:
         kernel = linalg.nullspace(A, n)
@@ -147,55 +145,25 @@ def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
     )
 
 
-def pfaffian(A: list[list[Fraction]]) -> Fraction:
-    """Pfaffian of an even-dimensional antisymmetric matrix.
-
-    Recursive expansion along the first row: for active indices
-    (r0, r1, ...), Pf = sum_j (-1)^j A[r0][rj] Pf(rest). Exact and cheap at
-    the sizes met here (dim <= 8).
-    """
-    n = len(A)
-    if n % 2:
-        raise StructuralError("Pfaffian needs even dimension")
-
-    def rec(active: tuple[int, ...]) -> Fraction:
-        if not active:
-            return ONE
-        r0 = active[0]
-        total = ZERO
-        sign = -1
-        for pos in range(1, len(active)):
-            sign = -sign  # (-1)^pos for pos = 1, 2, ...: +, -, +, ...
-            a = A[r0][active[pos]]
-            if a:
-                rest = active[1:pos] + active[pos + 1 :]
-                sub = rec(rest)
-                if sub:
-                    total += a * sub if sign > 0 else -a * sub
-        return total
-
-    return rec(tuple(range(n)))
-
-
 @dataclass(frozen=True)
 class SymplecticSearchResult:
     """Outcome of find_symplectic.
 
     status is one of:
-      "found"             a certified form is attached;
+      "found"             a certified form is attached, the first grid
+                          point of full rank (see find_symplectic);
       "definitively-none" no symplectic form exists on this model, proved
                           by the odd dimension, by Z^2 = 0, or by the
                           vanishing of every product of dim/2 closed
                           2-forms (reason names which).
+    closed_dim is dim Z^2, or -1 when the odd dimension decides first.
     """
 
     status: str
     form: SymplecticForm | None
     certificate: SymplecticCertificate | None
-    trials: int
     closed_dim: int
     reason: str
-    seed: int | None = None
 
     @property
     def found(self) -> bool:
@@ -208,85 +176,33 @@ def closed_two_form_basis(model: CEModel) -> list[SymplecticForm]:
     return [SymplecticForm.from_element(model, omega) for omega in cocycles]
 
 
-def _combine(basis_matrices, weights, n):
-    A = [[ZERO] * n for _ in range(n)]
-    for w, B in zip(weights, basis_matrices):
-        if w:
-            for r in range(n):
-                row_a, row_b = A[r], B[r]
-                for c in range(n):
-                    if row_b[c]:
-                        row_a[c] += w * row_b[c]
-    return A
+def find_symplectic(model: CEModel) -> SymplecticSearchResult:
+    """Decide whether Z^2 has a nondegenerate element; name one if it does.
 
-
-def find_symplectic(
-    model: CEModel,
-    seed: int = 0,
-    max_trials: int = 64,
-) -> SymplecticSearchResult:
-    """Search Z^2 for a nondegenerate element; decide when none exists.
-
-    Random phase: coefficients from the pool {-2,-1,1,2}, widening every 16
-    trials; every candidate with nonzero Pfaffian is re-certified exactly.
-    Decision phase: W_0 = span(1) and W_{j+1} = span(omega_i * w) over the
-    Z^2 basis omega_i and the kept vectors w of W_j. W_j is the span of all
-    products of j basis forms, and omega^{n/2} vanishes on all of Z^2 iff
+    W_0 = span(1) and W_{j+1} = span(omega_i * w) over the Z^2 basis
+    omega_i and the kept vectors w of W_j. W_j is the span of all products
+    of j basis forms, and omega^{n/2} vanishes on all of Z^2 iff
     W_{n/2} = 0, so an empty W_j proves that no symplectic form exists.
-    Otherwise a kept vector of W_{n/2} is a nonzero product omega^a for a
-    multiset a of basis indices; the Pfaffian of sum t_i omega_i has a
-    nonzero t^a coefficient, so by the Combinatorial Nullstellensatz (Alon
-    1999) it is nonzero at some t in the grid prod {0..a_i}, at most 2^{n/2}
-    points, and that point is certified like a random hit.
+    Otherwise the first kept vector of W_{n/2} is a nonzero product
+    omega^a for a multiset a of basis indices. Top degree is a line, so
+    (sum t_i omega_i)^{n/2} = P(t) vol for a polynomial P with a nonzero
+    t^a coefficient, and sum t_i omega_i is nondegenerate iff P(t) != 0.
+    By the Combinatorial Nullstellensatz (Alon 1999) P is nonzero at some
+    t in the grid prod {0..a_i}, at most 2^{n/2} points. The grid is
+    walked in lexicographic order and the first point whose form has full
+    rank is returned with its certificate.
     """
     n = model.n
 
-    def none(trials, closed_dim, reason):
-        return SymplecticSearchResult(
-            "definitively-none", None, None, trials, closed_dim, reason, seed
-        )
+    def none(closed_dim, reason):
+        return SymplecticSearchResult("definitively-none", None, None, closed_dim, reason)
 
     if n % 2:
-        return none(0, -1, f"odd dimension {n}")
+        return none(-1, f"odd dimension {n}")
     basis = closed_two_form_basis(model)
     m = len(basis)
     if m == 0:
-        return none(0, 0, "no nonzero closed 2-forms")
-    basis_matrices = [f.matrix() for f in basis]
-
-    def certified(weights, trials, reason):
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for w, f in zip(weights, basis):
-            if w:
-                for i, j, c in f.coeffs:
-                    coeffs[(i, j)] = coeffs.get((i, j), ZERO) + w * c
-        form = SymplecticForm.from_coeffs(
-            model, [(i, j, c) for (i, j), c in coeffs.items()]
-        )
-        cert = is_symplectic(model, form.omega)
-        if not cert.symplectic:
-            raise StructuralError("search produced an uncertifiable candidate")
-        return SymplecticSearchResult(
-            status="found",
-            form=form,
-            certificate=cert,
-            trials=trials,
-            closed_dim=m,
-            reason=reason,
-            seed=seed,
-        )
-
-    rng = random.Random(seed)
-    trials = 0
-    for trials in range(1, max_trials + 1):
-        bound = 2 << (trials - 1) // 16  # 2, then 4, 8, ... every 16 trials
-        pool = [Fraction(v) for v in range(-bound, bound + 1) if v]
-        weights = [rng.choice(pool) for _ in range(m)]
-        A = _combine(basis_matrices, weights, n)
-        if pfaffian(A):
-            return certified(
-                weights, trials, "nondegenerate closed 2-form found and re-certified"
-            )
+        return none(0, "no nonzero closed 2-forms")
 
     half = n // 2
     omegas = [f.omega for f in basis]
@@ -302,7 +218,6 @@ def find_symplectic(
                     kept.append((indices + (i,), p))
         if not kept:
             return none(
-                trials,
                 m,
                 f"every {j}-fold product of closed 2-forms vanishes, so "
                 f"omega^{half} = 0 for every closed 2-form omega",
@@ -311,14 +226,27 @@ def find_symplectic(
 
     a = level[0][0]
     for point in product(*(range(a.count(i) + 1) for i in range(m))):
-        weights = [Fraction(v) for v in point]
-        if pfaffian(_combine(basis_matrices, weights, n)):
-            return certified(
-                weights,
-                trials,
-                f"no witness in {trials} random trials; grid witness under a "
-                f"nonzero {half}-fold product of closed 2-forms, re-certified",
-            )
+        coeffs: dict[tuple[int, int], Fraction] = {}
+        for w, f in zip(point, basis):
+            if w:
+                for i, j, c in f.coeffs:
+                    coeffs[(i, j)] = coeffs.get((i, j), ZERO) + w * c
+        form = SymplecticForm.from_coeffs(
+            model, [(i, j, c) for (i, j), c in coeffs.items()]
+        )
+        cert = is_symplectic(model, form.omega)
+        if not cert.nondegenerate:
+            continue
+        if not cert.symplectic:
+            raise StructuralError("search produced an uncertifiable candidate")
+        return SymplecticSearchResult(
+            status="found",
+            form=form,
+            certificate=cert,
+            closed_dim=m,
+            reason=f"grid witness under a nonzero {half}-fold product of "
+            f"closed 2-forms, certified",
+        )
     raise StructuralError("no grid point under a nonzero product is nondegenerate")
 
 
@@ -356,8 +284,7 @@ def hard_lefschetz(
         basis_p = coh.basis(p)
         basis_q = coh.basis(q)
         cols = [basis_q.reduce(omega_k * rep) for rep in basis_p.representatives]
-        rows = [list(r) for r in zip(*cols)] if cols else []
-        rk = linalg.rank(rows, len(cols)) if rows else 0
+        rk = linalg.rank(cols)
         entries.append(
             LefschetzEntry(
                 k=k,

@@ -155,7 +155,7 @@ def test_forcing_solution_dim_is_kernel_of_A(catalog_models):
     t4 = catalog_models["torus4"]
     degenerate = SymplecticForm.from_coeffs(t4, [(1, 2, 1)])
     A = degenerate.matrix()
-    ker_dim = 4 - linalg.rank(A, 4)
+    ker_dim = 4 - linalg.rank(A)
     report = forcing_check(t4, degenerate, sphere_base())
     assert report.solution_dimension == ker_dim
 
@@ -180,7 +180,7 @@ def test_forcing_matches_grid_enumeration(t2, t2_form, kt, kt_form):
     for alpha in hits:
         vec = [alpha[k][0] for k in range(4)]
         stacked = span_rows + [vec]
-        assert linalg.rank(stacked, 4) == report.solution_dimension
+        assert linalg.rank(stacked) == report.solution_dimension
     assert len(hits) == 3 ** report.solution_dimension
 
 

@@ -47,38 +47,76 @@ def random_nilpotent_specs(seed: int, count: int) -> list[LieAlgebraSpec]:
     return specs
 
 
+def permuted(spec: LieAlgebraSpec, sigma: list[int]) -> LieAlgebraSpec:
+    """The same algebra in the basis Y_{sigma[i-1]} = X_i, constants relabelled."""
+    brackets = []
+    for i, j, k, c in spec.brackets:
+        a, b = sigma[i - 1], sigma[j - 1]
+        if a > b:  # [Y_b, Y_a] = -[Y_a, Y_b]
+            a, b, c = b, a, -c
+        brackets.append((a, b, sigma[k - 1], c))
+    return LieAlgebraSpec(dim=spec.dim, brackets=tuple(sorted(brackets)))
+
+
 @pytest.fixture(scope="module")
-def corpus():
-    return [ce_model(spec) for spec in random_nilpotent_specs(seed=2024, count=40)]
+def specs():
+    return random_nilpotent_specs(seed=2024, count=40)
 
 
-def test_corpus_covers_both_verdicts_in_even_dimension(corpus):
-    verdicts = {
-        find_symplectic(model, seed=0, max_trials=0).status
-        for model in corpus
-        if model.n % 2 == 0
-    }
+@pytest.fixture(scope="module")
+def corpus(specs):
+    return [ce_model(spec) for spec in specs]
+
+
+@pytest.fixture(scope="module")
+def searches(corpus):
+    """One find_symplectic result per algebra of the corpus."""
+    return [find_symplectic(model) for model in corpus]
+
+
+def test_corpus_covers_both_verdicts_in_even_dimension(corpus, searches):
+    verdicts = {res.status for model, res in zip(corpus, searches) if model.n % 2 == 0}
     assert verdicts == {"found", "definitively-none"}
 
 
-def test_chain_verdict_agrees_with_lattice_oracle(corpus):
-    for model in corpus:
+def test_chain_verdict_agrees_with_lattice_oracle(corpus, searches):
+    for model, res in zip(corpus, searches):
         oracle = symplectic_by_lattice(model.dga, model.n)
-        for trials in (0, 64):
-            res = find_symplectic(model, seed=3, max_trials=trials)
-            assert res.status in ("found", "definitively-none")
-            assert res.found == (oracle is not None), (model.algebra, trials)
-            if res.found:
-                assert res.certificate.symplectic
+        assert res.status in ("found", "definitively-none")
+        assert res.found == (oracle is not None), model.algebra
+        if res.found:
+            assert res.certificate.symplectic
 
 
-def test_certified_forms_force_zero_twist(corpus):
+def test_certified_forms_force_zero_twist(corpus, searches):
     """The paper's headline: a symplectic fiber admits no Hamiltonian twist."""
-    for model in corpus:
-        res = find_symplectic(model, seed=5)
+    for model, res in zip(corpus, searches):
         if res.found:
             report = forcing_check(model, res.form, sphere_base())
             assert report.forced_zero and report.solution_dimension == 0, model.algebra
+
+
+def test_invariant_under_basis_permutation(specs, corpus, searches):
+    """Relabelling the basis changes no Betti number, verdict or dim Z^2."""
+    rng = random.Random(7)
+    moved = 0
+    for spec, model, res in zip(specs, corpus, searches):
+        sigma = list(range(1, spec.dim + 1))
+        rng.shuffle(sigma)
+        other = permuted(spec, sigma)
+        moved += other != spec
+        assert validate(other).ok, sigma
+        relabelled = ce_model(other)
+        n = spec.dim
+        assert (
+            Cohomology(relabelled.dga).betti_vector(n) == Cohomology(model.dga).betti_vector(n)
+        ), (spec, sigma)
+        again = find_symplectic(relabelled)
+        assert (again.status, again.closed_dim) == (res.status, res.closed_dim), (spec, sigma)
+        if again.found:
+            report = forcing_check(relabelled, again.form, sphere_base())
+            assert report.forced_zero and report.solution_dimension == 0, (spec, sigma)
+    assert moved > len(specs) // 2  # the permutations really change the tables
 
 
 def test_cohomology_invariants(corpus):
