@@ -33,7 +33,7 @@ from .documents import (
     parse_document,
     parse_rational,
 )
-from .errors import NilsplitError, TwistIncompatibleError
+from .errors import InvalidLieAlgebraError, NilsplitError, TwistIncompatibleError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -85,13 +85,15 @@ def _validation_section(report: lie_algebras.ValidationReport) -> dict:
 
 
 def _validated_model(doc: AlgebraDocument, report: dict, args):
-    """ce model or None; on failure fills the report and prints it."""
-    vreport = lie_algebras.validate(doc.to_spec())
-    report["validation"] = _validation_section(vreport)
-    if not vreport.ok:
+    """ce model or None; fills the report's validation, prints it on failure."""
+    try:
+        ce = lie_algebras.ce_model(doc.to_spec())
+    except InvalidLieAlgebraError as exc:
+        report["validation"] = _validation_section(exc.report)
         _emit(report, args)
         return None
-    return lie_algebras.ce_model(doc.to_spec())
+    report["validation"] = _validation_section(ce.report)
+    return ce
 
 
 def _certificate_section(cert: symplectic.SymplecticCertificate) -> dict:

@@ -123,20 +123,10 @@ class Cohomology:
         """
         if k not in self._cycles:
             s = self.slice(k)
-            echelon = linalg.Echelon()
-            pivots: list[int] = []
-            cocycles = []
-            for j, image in enumerate(s.images):
-                combination = echelon.add(image)
-                if combination is None:
-                    pivots.append(j)
-                    continue
-                coords = {j: ONE}
-                for q, a in combination.items():
-                    coords[pivots[q]] = -a
-                cocycles.append({s.basis[i]: coords[i] for i in sorted(coords)})
+            echelon, kernel = linalg.kernel(s.images)
+            cocycles = [{s.basis[i]: x for i, x in v.items()} for v in kernel]
             self._images[k] = echelon
-            self._cycles[k] = (len(pivots), cocycles)
+            self._cycles[k] = (len(echelon.kept), cocycles)
         return self._cycles[k]
 
     def betti(self, k: int) -> int:

@@ -15,6 +15,12 @@ the sign convention being d x_k (X_i, X_j) = -x_k([X_i, X_j]). Either
 global sign yields isomorphic cohomology; this one is fixed so that
 emitted reports are byte-stable. d^2 = 0 is equivalent to the Jacobi
 identity, and both are checked independently.
+
+Validation works on sparse vectors, maps {k: c} from a 1-based basis index
+to a nonzero Fraction, as in nilsplit.linalg. The Jacobi identity is
+evaluated only on the basis triples that contain a pair with a nonzero
+bracket, since it vanishes on every other triple, and the lower central
+series is spanned with linalg.Echelon.
 """
 
 from __future__ import annotations
@@ -28,12 +34,6 @@ from .exterior import Derivation, Element, FreeDGA, GradedAlgebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _unit_vector(n: int, i: int) -> list[Fraction]:
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 @dataclass(frozen=True)
@@ -59,31 +59,32 @@ class LieAlgebraSpec:
                 raise StructuralError(f"duplicate bracket entry ({i},{j},{k})")
             seen.add((i, j, k))
 
-    def bracket_table(self) -> dict[tuple[int, int], list[Fraction]]:
-        """[X_i, X_j] as coefficient vectors, keys i < j, values 0-based."""
-        table: dict[tuple[int, int], list[Fraction]] = {}
+    def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """Nonzero brackets [X_i, X_j], i < j, as sparse vectors {k: c}.
+
+        Indices are 1-based and zero constants are dropped, so every key is
+        a pair with a nonzero bracket.
+        """
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i, j, k, c in self.brackets:
-            row = table.setdefault((i, j), [ZERO] * self.dim)
-            row[k - 1] += c
+            if c:
+                table.setdefault((i, j), {})[k] = c
         return table
 
 
-def _bracket_vectors(
-    spec: LieAlgebraSpec,
-    table: dict[tuple[int, int], list[Fraction]],
-    u: list[Fraction],
-    v: list[Fraction],
-) -> list[Fraction]:
-    """[u, v] by bilinear extension of the structure constants."""
-    n = spec.dim
-    out = [ZERO] * n
-    for (i, j), w in table.items():
-        coeff = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-        if coeff:
-            for k in range(n):
-                if w[k]:
-                    out[k] += coeff * w[k]
-    return out
+def _bracket(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
+    """[u, v] of sparse vectors by bilinear extension of the table."""
+    out: dict[int, Fraction] = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            if a < b:
+                row, coeff = table.get((a, b)), x * y
+            else:
+                row, coeff = table.get((b, a)), -x * y
+            if row:
+                for k, c in row.items():
+                    out[k] = out.get(k, ZERO) + coeff * c
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -129,47 +130,40 @@ def validate(spec: LieAlgebraSpec) -> ValidationReport:
     """Check the Jacobi identity and nilpotency; never raises."""
     n = spec.dim
     table = spec.bracket_table()
-    basis = [_unit_vector(n, i) for i in range(n)]
+    basis = [{i: ONE} for i in range(1, n + 1)]
 
-    def br(u, v):
-        return _bracket_vectors(spec, table, u, v)
-
+    # J vanishes on every triple none of whose pairs has a nonzero bracket.
+    triples = {
+        tuple(sorted((i, j, k)))
+        for i, j in table
+        for k in range(1, n + 1)
+        if k != i and k != j
+    }
     jacobi_failures = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                defect = [
-                    x + y + z
-                    for x, y, z in zip(
-                        br(br(basis[i - 1], basis[j - 1]), basis[k - 1]),
-                        br(br(basis[j - 1], basis[k - 1]), basis[i - 1]),
-                        br(br(basis[k - 1], basis[i - 1]), basis[j - 1]),
-                    )
-                ]
-                if any(defect):
-                    jacobi_failures.append((i, j, k, tuple(defect)))
+    for i, j, k in sorted(triples):
+        defect: dict[int, Fraction] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            term = _bracket(table, _bracket(table, {a: ONE}, {b: ONE}), {c: ONE})
+            for m, x in term.items():
+                defect[m] = defect.get(m, ZERO) + x
+        if any(defect.values()):
+            dense = tuple(defect.get(m, ZERO) for m in range(1, n + 1))
+            jacobi_failures.append((i, j, k, dense))
     jacobi_ok = not jacobi_failures
 
     # Lower central series by span ranks; a nilpotent algebra of dim n
     # reaches zero within n steps, so a stall above zero is conclusive.
     current = basis
     dims = [n]
-    derived_dim = None
     for _ in range(n + 1):
         echelon = linalg.Echelon()
-        independent = []
-        for i in range(n):
+        for e in basis:
             for w in current:
-                v = br(basis[i], w)
-                if echelon.add({c: x for c, x in enumerate(v) if x}) is None:
-                    independent.append(v)
-        dim_next = len(independent)
-        if derived_dim is None:
-            derived_dim = dim_next
-        dims.append(dim_next)
-        if dim_next == 0 or dim_next == dims[-2]:
+                echelon.add(_bracket(table, e, w))
+        current = echelon.kept
+        dims.append(len(current))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
             break
-        current = independent
     nilpotent = dims[-1] == 0
     nilpotency_class = len(dims) - 1 if nilpotent else None
 
@@ -180,7 +174,7 @@ def validate(spec: LieAlgebraSpec) -> ValidationReport:
         nilpotent=nilpotent,
         nilpotency_class=nilpotency_class,
         lower_central_dims=tuple(dims),
-        derived_dim=derived_dim if derived_dim is not None else 0,
+        derived_dim=dims[1],
     )
 
 

@@ -6,8 +6,8 @@ that enlarge the span of those kept before them, and writes every other
 vector as a combination of the kept ones. Which vectors are kept and those
 combinations depend only on the arrival order, never on how elimination
 proceeds, so the kernel bases, representatives and coordinates built on
-top are byte-stable. `rank` and `nullspace` are the entry points for dense
-matrices given as lists of rows.
+top are byte-stable. `kernel` takes sparse columns; `rank` and `nullspace`
+are the entry points for dense matrices given as lists of rows.
 """
 
 from __future__ import annotations
@@ -120,25 +120,31 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(echelon.kept)
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, ascending.
+def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
+    """Echelon of the sparse columns and a basis of their right kernel.
 
     A column is free when it lies in the span of the columns before it. Its
-    vector has a 1 there, 0 at every other free column, and minus the
+    kernel vector has a 1 there, 0 at every other free column, and minus the
     column's unique coordinates over the earlier pivot columns: the reduced
-    echelon normal form, the same for every exact method.
+    echelon normal form, the same for every exact method. Kernel vectors
+    come one per free column, ascending, with their indices ascending.
     """
     echelon = Echelon()
     pivot_columns: list[int] = []
     basis = []
-    for j, column in enumerate(zip(*rows) if rows else [()] * ncols):
-        combination = echelon.add(_sparse(column))
+    for j, column in enumerate(columns):
+        combination = echelon.add(column)
         if combination is None:
             pivot_columns.append(j)
             continue
-        v = [ZERO] * ncols
+        v = {pivot_columns[q]: -combination[q] for q in sorted(combination)}
         v[j] = ONE
-        for q, a in combination.items():
-            v[pivot_columns[q]] = -a
         basis.append(v)
-    return basis
+    return echelon, basis
+
+
+def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Dense basis of the right kernel of a matrix given as rows; see kernel."""
+    columns = zip(*rows) if rows else [()] * ncols
+    _, basis = kernel(_sparse(column) for column in columns)
+    return [[v.get(j, ZERO) for j in range(ncols)] for v in basis]

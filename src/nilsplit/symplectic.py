@@ -130,11 +130,9 @@ def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
     d_omega = model.d(omega)
     A = sf.matrix()
     n = model.n
-    rank = linalg.rank(A)
-    witness = None
-    if rank < n:
-        kernel = linalg.nullspace(A, n)
-        witness = tuple(kernel[0]) if kernel else None
+    kernel = linalg.nullspace(A, n)
+    rank = n - len(kernel)
+    witness = tuple(kernel[0]) if kernel else None
     return SymplecticCertificate(
         closed=d_omega.is_zero(),
         d_omega=d_omega,

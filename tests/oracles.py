@@ -7,10 +7,12 @@ elimination over Fraction with naive first-nonzero pivoting, plus its own
 dense matrix assembly from the differential. Anything the two roads
 disagree on is a bug.
 
-Also here: a brute-force Koszul sign (explicit word sorting), a grid
-enumerator for admissible twisting matrices, and a symplectic decision by
-the principal lattice: closed 2-forms from a dense naive kernel, tested for
-nondegeneracy by naive rank at every lattice point.
+Also here: a dense validation of structure constants (Jacobi on every
+basis triple, lower central series by naive ranks), a brute-force Koszul
+sign (explicit word sorting), a grid enumerator for admissible twisting
+matrices, and a symplectic decision by the principal lattice: closed
+2-forms from a dense naive kernel, tested for nondegeneracy by naive rank
+at every lattice point.
 """
 
 from __future__ import annotations
@@ -53,6 +55,65 @@ def rank_naive(rows: list[list[Fraction]]) -> int:
         if r == m:
             break
     return rank
+
+
+def validate_naive(spec) -> dict:
+    """Jacobi failures and lower central series from spec.brackets, densely.
+
+    The structure constants become a full antisymmetric n x n x n array and
+    every bracket is the dense bilinear sum over it. Jacobi is evaluated on
+    every triple i < j < k; the lower central series g^1 = g,
+    g^{m+1} = [g, g^m] is spanned greedily by naive rank, and its
+    dimensions are listed until they reach 0 or stop falling.
+    """
+    n = spec.dim
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in spec.brackets:
+        table[i - 1][j - 1][k - 1] += c
+        table[j - 1][i - 1][k - 1] -= c
+
+    def bracket(u, v):
+        out = [ZERO] * n
+        for a in range(n):
+            for b in range(n):
+                if u[a] and v[b]:
+                    f = u[a] * v[b]
+                    out = [x + f * c for x, c in zip(out, table[a][b])]
+        return out
+
+    basis = [[ONE if a == b else ZERO for a in range(n)] for b in range(n)]
+    failures = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        x, y, z = basis[i], basis[j], basis[k]
+        terms = (
+            bracket(bracket(x, y), z),
+            bracket(bracket(y, z), x),
+            bracket(bracket(z, x), y),
+        )
+        defect = tuple(sum(column, ZERO) for column in zip(*terms))
+        if any(defect):
+            failures.append((i + 1, j + 1, k + 1, defect))
+
+    dims = [n]
+    current = basis
+    while True:
+        spanning: list[list[Fraction]] = []
+        for x in basis:
+            for w in current:
+                v = bracket(x, w)
+                if rank_naive(spanning + [v]) > len(spanning):
+                    spanning.append(v)
+        dims.append(len(spanning))
+        current = spanning
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            break
+    nilpotent = dims[-1] == 0
+    return {
+        "jacobi_failures": tuple(failures),
+        "lower_central_dims": tuple(dims),
+        "nilpotency_class": len(dims) - 1 if nilpotent else None,
+        "derived_dim": dims[1],
+    }
 
 
 def differential_matrix(dga: FreeDGA, k: int):

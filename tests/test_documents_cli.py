@@ -131,6 +131,45 @@ def test_cli_validate_file_and_exit_codes(tmp_path, capsys):
     assert "nilpotent: False" in out
 
 
+JACOBI_FAILS = json.dumps(
+    {
+        "name": "no-jacobi",
+        "dim": 4,
+        "brackets": [
+            {"i": 1, "j": 2, "k": 3, "c": "1"},
+            {"i": 2, "j": 3, "k": 4, "c": "1"},
+            {"i": 1, "j": 3, "k": 4, "c": "1"},
+            {"i": 1, "j": 4, "k": 4, "c": "1"},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "symplectic", "csplit"])
+def test_cli_validates_each_job_once(tmp_path, capsys, monkeypatch, command):
+    from nilsplit import lie_algebras
+
+    calls = []
+    real = lie_algebras.validate
+
+    def spy(spec):
+        calls.append(spec.dim)
+        return real(spec)
+
+    monkeypatch.setattr(lie_algebras, "validate", spy)
+    code, _, _ = run_cli(capsys, command, "kodaira-thurston", "--format", "machine")
+    assert code == 0
+    assert calls == [4]
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(JACOBI_FAILS)
+    calls.clear()
+    code, out, _ = run_cli(capsys, command, str(bad), "--format", "machine")
+    assert code == 2
+    assert calls == [4]
+    assert json.loads(out)["validation"]["jacobi_ok"] is False
+
+
 def test_cli_unknown_input_is_error(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-algebra")
     assert code == 2

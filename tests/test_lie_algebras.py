@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import validate_naive
 
 from nilsplit import catalog
 from nilsplit.cohomology import Cohomology
@@ -27,12 +28,14 @@ def test_validate_abelian():
     assert report.lower_central_dims == (4, 0)
 
 
-def test_validate_heisenberg():
-    report = validate(spec(3, (1, 2, 3, 1)))
+@pytest.mark.parametrize("dim", [3, 60])
+def test_validate_heisenberg(dim):
+    # h3 + R^(dim - 3)
+    report = validate(spec(dim, (1, 2, 3, 1)))
     assert report.ok
     assert report.nilpotency_class == 2
     assert report.derived_dim == 1
-    assert report.lower_central_dims == (3, 1, 0)
+    assert report.lower_central_dims == (dim, 1, 0)
 
 
 def test_validate_rejects_non_nilpotent():
@@ -121,6 +124,50 @@ def test_d_squared_iff_jacobi_on_random_tables():
         seen_pass += report.jacobi_ok
         seen_fail += not report.jacobi_ok
     assert seen_pass >= 20 and seen_fail >= 20
+
+
+def _assert_matches_oracle(candidate):
+    report = validate(candidate)
+    expected = validate_naive(candidate)
+    assert report.jacobi_failures == expected["jacobi_failures"]
+    assert report.lower_central_dims == expected["lower_central_dims"]
+    assert report.nilpotency_class == expected["nilpotency_class"]
+    assert report.derived_dim == expected["derived_dim"]
+    return report
+
+
+def test_validate_matches_dense_oracle_on_random_tables():
+    """Sparse validation against the dense oracle, zero constants included.
+
+    "upper" tables only bracket into later basis vectors, so they are
+    nilpotent whenever Jacobi holds; "any" tables reach every index.
+    """
+    rng = random.Random(505)
+    seen = {"jacobi": 0, "not-nilpotent": 0, "ok": 0}
+    for _ in range(300):
+        dim = rng.randint(2, 7)
+        density = rng.choice([0.05, 0.15, 0.35])
+        upper = rng.random() < 0.5
+        brackets = [
+            (i, j, k, rng.choice([-2, -1, 0, 1, 2]))
+            for i in range(1, dim + 1)
+            for j in range(i + 1, dim + 1)
+            for k in range(j + 1 if upper else 1, dim + 1)
+            if rng.random() < density
+        ]
+        report = _assert_matches_oracle(spec(dim, *brackets))
+        if not report.jacobi_ok:
+            seen["jacobi"] += 1
+        elif not report.nilpotent:
+            seen["not-nilpotent"] += 1
+        else:
+            seen["ok"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_validate_matches_dense_oracle_on_catalog():
+    for name in catalog.names():
+        assert _assert_matches_oracle(catalog.get(name).to_spec()).ok, name
 
 
 def test_b1_equals_dim_minus_derived_dim(catalog_models):
