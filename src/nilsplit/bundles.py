@@ -13,14 +13,26 @@ on the degree-2 base cocycles; D restricts to the base differential and
 differs from the fiber differential by base-ideal terms, which is the
 structural shape such models must have.
 
-D^2 = 0 is never assumed: the constructor checks it on every generator and
-rejects incompatible alpha with a witness. The Hamiltonian condition is
-D(omega) = 0; its coefficient on each a_j recovers the contraction of
-omega with the j-th alpha column, and the forcing solver decides, over all
-alpha at once, whether those conditions force alpha = 0. When they do, the
-only admissible model is the product one, and total cohomology splits as
-base tensor fiber; Betti vectors make the splitting checkable degree by
-degree.
+On fiber elements D = d + sum_j a_j theta_j, where theta_j is the degree -1
+contraction with the j-th alpha column (exterior.contract). Hence
+D^2 x_k = sum_j a_j theta_j(d x_k) and D(omega) = sum_j a_j theta_j(omega)
+for closed omega. D^2 = 0 is never assumed: the constructor checks it on
+every generator and rejects incompatible alpha with a witness. The forcing
+solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0, the
+admissibility and Hamiltonian conditions, for all alpha at once and decides
+whether they force alpha = 0. When they do, the only admissible model is
+the product one, and total cohomology splits as base tensor fiber.
+
+Total Betti numbers come from one of three paths:
+- alpha = 0, any base: the total DGA is base tensor fiber, so its Betti
+  vector is the Kunneth convolution;
+- S2 base, alpha != 0: theta anticommutes with d once D^2 = 0, and the Wang
+  sequence gives b_k(E) = (b_k - r_k) + (b_{k-2} - r_{k-1}) with b the
+  fiber's Betti numbers and r_k the rank of theta_*: H^k(F) -> H^{k-1}(F),
+  all computed on the fiber;
+- formal base, alpha != 0: the cohomology of the total model itself.
+Comparing the total vector with the convolution makes the splitting
+checkable degree by degree.
 """
 
 from __future__ import annotations
@@ -31,7 +43,14 @@ from fractions import Fraction
 from . import linalg
 from .cohomology import Cohomology
 from .errors import StructuralError, TwistIncompatibleError
-from .exterior import AlgebraMorphism, Derivation, Element, FreeDGA, GradedAlgebra
+from .exterior import (
+    AlgebraMorphism,
+    Derivation,
+    Element,
+    FreeDGA,
+    GradedAlgebra,
+    contract,
+)
 from .lie_algebras import CEModel
 from .symplectic import SymplecticForm
 
@@ -88,9 +107,11 @@ def normalize_alpha(alpha, n_fiber: int, m: int) -> tuple[tuple[Fraction, ...], 
 class TwistedModel:
     """Base tensor fiber with twisting matrix alpha; see the module docstring.
 
-    Use build_twisted() to construct with the D^2 = 0 admissibility check;
-    direct construction with check=False exists for linear-in-alpha probes
-    and tests and makes no flatness promise.
+    Use build_twisted() to construct with the D^2 = 0 admissibility check.
+    check=False skips it and makes no flatness promise: forcing_check
+    builds its solution alphas that way and verifies D^2 = 0 itself, and
+    total_betti and csplit_compare check it again before they compute
+    anything.
     """
 
     def __init__(self, base: BaseModel, fiber: CEModel, alpha, check: bool = True):
@@ -130,7 +151,7 @@ class TwistedModel:
 
         self.checked = False
         if check:
-            witness = self.total.flatness_witness()
+            witness = _twist_witness(self)
             if witness is not None:
                 raise TwistIncompatibleError(witness[0], witness[1])
             self.checked = True
@@ -235,44 +256,63 @@ def hamiltonian_obstruction(tm: TwistedModel, sf: SymplecticForm) -> Obstruction
     )
 
 
-def _unit_alpha(n: int, m: int, k0: int, j0: int):
-    return tuple(
-        tuple(ONE if (k, j) == (k0, j0) else ZERO for j in range(m)) for k in range(n)
-    )
+def _twist_witness(tm: TwistedModel):
+    """First fiber generator with D^2 != 0 and its D^2, or None when flat.
 
-
-def _constraint_columns(fiber: CEModel, base: BaseModel, sf: SymplecticForm | None):
-    """Columns of the linear system in alpha, by unit-alpha evaluation.
-
-    D^2 on each fiber generator and (when sf is given) D(omega) are linear
-    in alpha with zero constant term: the alpha-free parts are d^2 = 0 and
-    d(omega) = 0. Evaluating the real derivation at each unit matrix
-    therefore assembles the full system without any hand-derived formula.
+    D^2 x_k = sum_j a_j theta_j(d x_k) and D^2 vanishes on the base
+    generators, so this is the witness FreeDGA.flatness_witness gives on
+    the total model, computed from contractions on the fiber.
     """
-    n, m = fiber.n, base.m
-    probe = TwistedModel(base, fiber, _unit_alpha(n, m, 0, 0), check=False)
-    basis3 = probe.total.algebra.monomials_of_degree(3)
-    index3 = {key: r for r, key in enumerate(basis3)}
-    gen_names = [g.name for g in fiber.algebra.generators]
-    block = len(basis3)
-    total_rows = block * (len(gen_names) + (1 if sf is not None else 0))
+    total = tm.total.algebra
+    thetas = [
+        (total.gen(name), _alpha_column(tm.alpha, j))
+        for j, name in enumerate(tm.base.twist_gen_names)
+    ]
+    for g in tm.fiber.algebra.generators:
+        dx = tm.fiber.d.image_of_generator(g.name)
+        dd = total.zero()
+        for a, theta in thetas:
+            t = contract(dx, theta)
+            if t.terms:
+                dd = dd + a * tm.include_fiber(t)
+        if dd.terms:
+            return g.name, dd
+    return None
 
+
+def _alpha_column(alpha, j: int) -> dict[int, Fraction]:
+    """Column j of alpha as a sparse map from fiber generator index."""
+    return {k: row[j] for k, row in enumerate(alpha) if row[j]}
+
+
+def _solve_alphas(fiber: CEModel, m: int, omega: Element | None):
+    """Basis of the alphas with D^2 = 0 and, given a closed omega, D(omega) = 0.
+
+    The conditions theta_j(d x_i) = 0 and theta_j(omega) = 0 are linear in
+    alpha. The sparse column of alpha_kj holds the contraction
+    iota_{e_k}(d x_i) at the rows (j, i, monomial) and iota_{e_k}(omega) at
+    the rows (j, n, monomial). Columns come in the order k * m + j of the
+    flattened alpha, and the kernel is in reduced echelon normal form.
+    """
+    n = fiber.n
+    conditions = [fiber.d.image_of_generator(g.name) for g in fiber.algebra.generators]
+    if omega is not None:
+        conditions.append(omega)
     columns = []
-    for k0 in range(n):
-        for j0 in range(m):
-            tm = TwistedModel(base, fiber, _unit_alpha(n, m, k0, j0), check=False)
-            col = [ZERO] * total_rows
-            for g_i, name in enumerate(gen_names):
-                dd = tm.total.d(tm.total.d.image_of_generator(name))
-                for key, c in dd.terms.items():
-                    col[g_i * block + index3[key]] = c
-            if sf is not None:
-                d_omega = tm.total.d(tm.include_fiber(sf.omega))
-                off = len(gen_names) * block
-                for key, c in d_omega.terms.items():
-                    col[off + index3[key]] = c
-            columns.append(col)
-    return columns
+    for k in range(n):
+        unit = {k: ONE}
+        block = {
+            (i, key): c
+            for i, u in enumerate(conditions)
+            for key, c in contract(u, unit).terms.items()
+        }
+        for j in range(m):
+            columns.append({(j, i, key): c for (i, key), c in block.items()})
+    _, kernel = linalg.kernel(columns)
+    return [
+        tuple(tuple(v.get(k * m + j, ZERO) for j in range(m)) for k in range(n))
+        for v in kernel
+    ]
 
 
 @dataclass(frozen=True)
@@ -295,16 +335,13 @@ class ForcingReport:
 
 def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> ForcingReport:
     """Solve the forcing system exactly over all alpha matrices."""
+    if sf.model.algebra is not fiber.algebra:
+        raise StructuralError("symplectic form lives on a different fiber")
     n, m = fiber.n, base.m
-    columns = _constraint_columns(fiber, base, sf)
-    rows = [list(r) for r in zip(*columns)]
-    kernel = linalg.nullspace(rows, n * m)
+    basis_alphas = _solve_alphas(fiber, m, sf.omega)
 
-    basis_alphas = []
     verified = True
-    for v in kernel:
-        alpha = tuple(tuple(v[k * m + j] for j in range(m)) for k in range(n))
-        basis_alphas.append(alpha)
+    for alpha in basis_alphas:
         tm = TwistedModel(base, fiber, alpha, check=False)
         flat = tm.total.flatness_witness() is None
         ham = tm.total.d(tm.include_fiber(sf.omega)).is_zero()
@@ -313,34 +350,70 @@ def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> Forcin
     return ForcingReport(
         fiber_dim=n,
         base_m=m,
-        solution_dimension=len(kernel),
+        solution_dimension=len(basis_alphas),
         basis_alphas=tuple(basis_alphas),
-        forced_zero=not kernel,
+        forced_zero=not basis_alphas,
         witnesses_verified=verified,
     )
 
 
 def flat_alpha_space(fiber: CEModel, base: BaseModel):
     """Basis of the alphas with D^2 = 0 (no Hamiltonian condition)."""
-    n, m = fiber.n, base.m
-    columns = _constraint_columns(fiber, base, None)
-    rows = [list(r) for r in zip(*columns)]
-    kernel = linalg.nullspace(rows, n * m)
-    return [
-        tuple(tuple(v[k * m + j] for j in range(m)) for k in range(n)) for v in kernel
-    ]
+    return _solve_alphas(fiber, base.m, None)
 
 
 def total_betti(tm: TwistedModel, cap: int | None = None) -> list[int]:
-    """Betti numbers of the total model through degree cap.
+    """Betti numbers of the total space through degree cap.
 
     Default cap is fiber dimension + 2, the formal top of an S2-base total
-    space; the base contributes nothing above that.
+    space; the base contributes nothing above that. alpha = 0 gives the
+    Kunneth convolution, an S2 base with alpha != 0 the Wang sequence, and
+    a formal base with alpha != 0 the cohomology of the total model. A
+    twist with D^2 != 0 raises TwistIncompatibleError.
     """
     if cap is None:
         cap = tm.fiber.n + 2
-    coh = Cohomology(tm.total, max_degree=cap)
-    return coh.betti_vector(cap)
+    return _total_betti(
+        tm,
+        cap,
+        Cohomology(tm.fiber.dga, max_degree=cap),
+        Cohomology(tm.base.dga, max_degree=cap),
+    )
+
+
+def _total_betti(
+    tm: TwistedModel, cap: int, fiber: Cohomology, base: Cohomology
+) -> list[int]:
+    if tm.alpha_is_zero():
+        return kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
+    witness = _twist_witness(tm)
+    if witness is not None:
+        raise TwistIncompatibleError(*witness)
+    if tm.base.kind == "s2":
+        return _wang_betti(tm, cap, fiber)
+    return Cohomology(tm.total, max_degree=cap).betti_vector(cap)
+
+
+def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
+    """b_k(E) = (b_k - r_k) + (b_{k-2} - r_{k-1}), r_k = rank theta_* on H^k.
+
+    theta d + d theta is a degree-0 derivation that vanishes on generators
+    once theta(d x_k) = 0, so theta maps cocycles to cocycles and
+    coboundaries to coboundaries; r_k is the rank of the induced map
+    H^k(F) -> H^{k-1}(F) on the chosen class bases.
+    """
+    theta = _alpha_column(tm.alpha, 0)
+    b = fiber.betti_vector(cap)
+    r = [0] * (cap + 1)
+    for k in range(1, cap + 1):
+        if b[k] and b[k - 1]:
+            target = fiber.basis(k - 1)
+            r[k] = linalg.rank(
+                [target.reduce(contract(z, theta)) for z in fiber.basis(k).representatives]
+            )
+    return [
+        b[k] - r[k] + (b[k - 2] - r[k - 1] if k >= 2 else 0) for k in range(cap + 1)
+    ]
 
 
 def kunneth_convolution(base_betti: list[int], fiber_betti: list[int], cap: int):
@@ -365,10 +438,10 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
     """Compare total Betti numbers with the base x fiber convolution."""
     if cap is None:
         cap = tm.fiber.n + 2
-    total = total_betti(tm, cap)
-    base_b = Cohomology(tm.base.dga, max_degree=cap).betti_vector(cap)
-    fiber_b = Cohomology(tm.fiber.dga, max_degree=cap).betti_vector(cap)
-    expected = kunneth_convolution(base_b, fiber_b, cap)
+    fiber = Cohomology(tm.fiber.dga, max_degree=cap)
+    base = Cohomology(tm.base.dga, max_degree=cap)
+    total = _total_betti(tm, cap, fiber, base)
+    expected = kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
     alpha_zero = tm.alpha_is_zero()
     ring_level = alpha_zero and tm.structure_conditions_hold()
     return CsplitVerdict(

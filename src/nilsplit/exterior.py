@@ -439,6 +439,40 @@ class Derivation:
         return result
 
 
+def contract(u: Element, alpha: Mapping[int, Fraction]) -> Element:
+    """theta(u) for the degree -1 derivation with theta(g_i) = alpha[i].
+
+    alpha maps generator indices to rationals, and only degree-1 generators
+    may carry a nonzero value, so theta(g_i) is a scalar. On a monomial,
+    theta removes one contracted factor at a time with the Koszul sign
+    (-1)^position, the degree of the factors before it. For a CE model and
+    the vector X with x_k(X) = alpha_k this is the interior product iota_X.
+    """
+    alg = u.algebra
+    for i, c in alpha.items():
+        if c and alg.degrees[i] != 1:
+            raise StructuralError(
+                f"contraction needs degree-1 generators; "
+                f"{alg.generators[i].name!r} has degree {alg.degrees[i]}"
+            )
+    degrees = alg.degrees
+    acc: dict[tuple, Fraction] = {}
+    for key, c in u.terms.items():
+        position = 0
+        for p in range(0, len(key), 2):
+            i = key[p]
+            v = alpha.get(i)
+            if v:
+                rest = key[:p] + key[p + 2 :]
+                s = acc.get(rest, ZERO) + (-c * v if position & 1 else c * v)
+                if s:
+                    acc[rest] = s
+                else:
+                    del acc[rest]
+            position += degrees[i] * key[p + 1]
+    return Element(alg, acc)
+
+
 class FreeDGA:
     """A free graded-commutative algebra with a degree +1 differential."""
 

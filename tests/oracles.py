@@ -10,9 +10,11 @@ disagree on is a bug.
 Also here: a dense validation of structure constants (Jacobi on every
 basis triple, lower central series by naive ranks), a brute-force Koszul
 sign (explicit word sorting), a grid enumerator for admissible twisting
-matrices, and a symplectic decision by the principal lattice: closed
-2-forms from a dense naive kernel, tested for nondegeneracy by naive rank
-at every lattice point.
+matrices, the forcing system assembled by evaluating the total-model
+derivation at every unit twisting matrix (no contraction formula), and a
+symplectic decision by the principal lattice: closed 2-forms from a dense
+naive kernel, tested for nondegeneracy by naive rank at every lattice
+point.
 """
 
 from __future__ import annotations
@@ -129,20 +131,18 @@ def differential_matrix(dga: FreeDGA, k: int):
     return rows, len(src)
 
 
-def betti_naive(dga: FreeDGA, k: int) -> int:
-    """dim C^k - rank d_k - rank d_{k-1}, all by the naive path."""
-    d_out, dim_k = differential_matrix(dga, k)
-    rank_out = rank_naive(d_out)
-    if k == 0:
-        rank_in = 0
-    else:
-        d_in, _ = differential_matrix(dga, k - 1)
-        rank_in = rank_naive(d_in)
-    return dim_k - rank_out - rank_in
-
-
 def betti_vector_naive(dga: FreeDGA, cap: int) -> list[int]:
-    return [betti_naive(dga, k) for k in range(cap + 1)]
+    """b_k = dim C^k - rank d_k - rank d_{k-1} for k = 0..cap, by the naive path.
+
+    Each differential is assembled afresh and ranked once.
+    """
+    ranks = []
+    dims = []
+    for k in range(cap + 1):
+        rows, dim_k = differential_matrix(dga, k)
+        ranks.append(rank_naive(rows))
+        dims.append(dim_k)
+    return [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(cap + 1)]
 
 
 def koszul_sign_by_sorting(key_a, key_b, parity):
@@ -200,6 +200,61 @@ def admissible_alphas_by_grid(fiber, base: BaseModel, omega_fiber: Element, valu
             continue
         hits.append(alpha)
     return hits
+
+
+def unit_alpha(n: int, m: int, k0: int, j0: int):
+    """The n x m twisting matrix with a single 1 at (k0, j0)."""
+    return tuple(
+        tuple(ONE if (k, j) == (k0, j0) else ZERO for j in range(m)) for k in range(n)
+    )
+
+
+def constraint_columns_by_unit_alpha(fiber, base: BaseModel, omega: Element | None):
+    """Dense columns of the forcing system in alpha, by unit-alpha evaluation.
+
+    D^2 on each fiber generator and (when omega is given) D(omega) are
+    linear in alpha with zero constant term: the alpha-free parts are
+    d^2 = 0 and d(omega) = 0. Evaluating the real total-model derivation at
+    each unit matrix therefore assembles the whole system without any
+    hand-derived formula. Column k * m + j belongs to alpha_kj; rows are
+    blocks of degree-3 monomials of the total algebra, one block per fiber
+    generator and one for omega.
+    """
+    n, m = fiber.n, base.m
+    probe = TwistedModel(base, fiber, unit_alpha(n, m, 0, 0), check=False)
+    basis3 = probe.total.algebra.monomials_of_degree(3)
+    index3 = {key: r for r, key in enumerate(basis3)}
+    gen_names = [g.name for g in fiber.algebra.generators]
+    block = len(basis3)
+    total_rows = block * (len(gen_names) + (1 if omega is not None else 0))
+
+    columns = []
+    for k0 in range(n):
+        for j0 in range(m):
+            tm = TwistedModel(base, fiber, unit_alpha(n, m, k0, j0), check=False)
+            col = [ZERO] * total_rows
+            for g_i, name in enumerate(gen_names):
+                dd = tm.total.d(tm.total.d.image_of_generator(name))
+                for key, c in dd.terms.items():
+                    col[g_i * block + index3[key]] = c
+            if omega is not None:
+                d_omega = tm.total.d(tm.include_fiber(omega))
+                off = len(gen_names) * block
+                for key, c in d_omega.terms.items():
+                    col[off + index3[key]] = c
+            columns.append(col)
+    return columns
+
+
+def alphas_by_unit_alpha(fiber, base: BaseModel, omega: Element | None):
+    """Kernel of the unit-alpha system by dense Gauss-Jordan, as alpha matrices."""
+    n, m = fiber.n, base.m
+    columns = constraint_columns_by_unit_alpha(fiber, base, omega)
+    rows = [list(r) for r in zip(*columns)]
+    return [
+        tuple(tuple(v[k * m + j] for j in range(m)) for k in range(n))
+        for v in nullspace_naive(rows, n * m)
+    ]
 
 
 def nullspace_naive(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -185,9 +185,12 @@ def test_forcing_matches_grid_enumeration(t2, t2_form, kt, kt_form):
 
 
 def test_total_betti_product_is_kunneth(t2, kt):
+    # at alpha = 0 total_betti is the convolution; the total model is the check
     tm = build_twisted(t2, sphere_base(), [[0], [0]])
+    assert betti_vector_naive(tm.total, 4) == [1, 2, 2, 2, 1]
     assert total_betti(tm) == [1, 2, 2, 2, 1]
     tmk = build_twisted(kt, sphere_base(), [[0]] * 4)
+    assert betti_vector_naive(tmk.total, 6) == [1, 3, 5, 6, 5, 3, 1]
     assert total_betti(tmk) == [1, 3, 5, 6, 5, 3, 1]
 
 
@@ -214,12 +217,36 @@ def test_euler_characteristic_vanishes_when_top_is_verified_zero(t2, kt):
 
 
 def test_csplit_verdicts(t2, kt):
-    good = csplit_compare(build_twisted(kt, sphere_base(), [[0]] * 4))
+    product = build_twisted(kt, sphere_base(), [[0]] * 4)
+    good = csplit_compare(product)
     assert good.c_splits and good.ring_level and good.alpha_zero
-    bad = csplit_compare(build_twisted(t2, sphere_base(), [[1], [0]]))
+    # good.total is the convolution itself at alpha = 0; the total model is not
+    assert tuple(betti_vector_naive(product.total, good.cap)) == good.expected
+    twisted = build_twisted(t2, sphere_base(), [[1], [0]])
+    bad = csplit_compare(twisted)
     assert not bad.c_splits and not bad.ring_level
     assert bad.total == (1, 1, 0, 1, 1)
+    assert bad.total == tuple(betti_vector_naive(twisted.total, bad.cap))
     assert bad.expected == (1, 2, 2, 2, 1)
+
+
+def test_incompatible_unchecked_twist_is_refused(kt):
+    """D^2 != 0 raises build_twisted's error instead of negative Betti numbers."""
+    cases = (
+        (sphere_base(), [[1], [0], [0], [0]]),
+        (formal_even_base(2), [[0, 1], [0, 0], [0, 0], [1, 0]]),
+    )
+    for base, alpha in cases:
+        tm = TwistedModel(base, kt, alpha, check=False)
+        witness = tm.total.flatness_witness()
+        assert witness is not None
+        with pytest.raises(TwistIncompatibleError) as built:
+            build_twisted(kt, base, alpha)
+        for compute in (total_betti, csplit_compare):
+            with pytest.raises(TwistIncompatibleError) as err:
+                compute(tm)
+            assert (err.value.generator_name, err.value.witness) == witness
+            assert str(err.value) == str(built.value)
 
 
 def test_kunneth_convolution_plain():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilsplit.errors import StructuralError
-from nilsplit.exterior import Derivation, Element, GradedAlgebra
+from nilsplit.exterior import Derivation, Element, GradedAlgebra, contract
 
 
 @pytest.fixture
@@ -168,6 +168,24 @@ def test_leibniz_random(mixed):
         lhs = d(u * v)
         rhs = d(u) * v + (u * d(v)).scale(-1 if p % 2 else 1)
         assert lhs == rhs
+
+
+def test_contract_is_a_degree_minus_one_derivation(mixed):
+    """theta(x_k) = alpha_k, graded Leibniz with sign (-1)^|u|, theta^2 = 0."""
+    rng = random.Random(505)
+    for _ in range(200):
+        alpha = {k: Fraction(rng.randint(-3, 3)) for k in range(3)}  # x1..x3
+        for k in range(3):
+            assert contract(mixed.gen(f"x{k + 1}"), alpha) == mixed.scalar(alpha[k])
+        p = rng.randint(0, 4)
+        u = _random_homogeneous(rng, mixed, p)
+        v = _random_element(rng, mixed, 3)
+        lhs = contract(u * v, alpha)
+        rhs = contract(u, alpha) * v + (u * contract(v, alpha)).scale(-1 if p % 2 else 1)
+        assert lhs == rhs
+        assert contract(contract(v, alpha), alpha).is_zero()
+    with pytest.raises(StructuralError):
+        contract(mixed.gen("a1"), {3: Fraction(1)})  # a1 has degree 2
 
 
 @settings(max_examples=100, deadline=None)

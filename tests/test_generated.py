@@ -12,12 +12,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import symplectic_by_lattice
+from oracles import (
+    alphas_by_unit_alpha,
+    betti_vector_naive,
+    closed_two_forms_naive,
+    symplectic_by_lattice,
+)
 
-from nilsplit.bundles import forcing_check, sphere_base
+from nilsplit.bundles import (
+    TwistedModel,
+    csplit_compare,
+    flat_alpha_space,
+    forcing_check,
+    formal_even_base,
+    sphere_base,
+    total_betti,
+)
 from nilsplit.cohomology import Cohomology, poincare_check
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
-from nilsplit.symplectic import find_symplectic
+from nilsplit.symplectic import SymplecticForm, find_symplectic
 
 F = Fraction
 
@@ -129,3 +142,67 @@ def test_cohomology_invariants(corpus):
         assert poincare_check(coh, n)
         assert coh.euler_characteristic(n) == 0
         assert betti[1] == n - model.report.derived_dim
+
+
+def test_forcing_matches_unit_alpha_oracle(catalog_models, symplectic_forms, corpus, searches):
+    """Contraction-assembled forcing equals the dense unit-alpha system's kernel.
+
+    Each algebra is tried with its certified form, where it has one, and
+    with the first closed 2-form of the oracle's basis, which is mostly
+    degenerate and so leaves twists; flat_alpha_space is the same system
+    without the omega rows.
+    """
+    cases = [(m, symplectic_forms.get(name)) for name, m in catalog_models.items()]
+    cases += [(m, res.form if res.found else None) for m, res in zip(corpus, searches)]
+    bases = (sphere_base(), formal_even_base(2), formal_even_base(3))
+    positive = 0
+    for model, certified in cases:
+        closed = closed_two_forms_naive(model.dga)[0]
+        forms = [SymplecticForm.from_coeffs(model, [(i + 1, j + 1, c) for i, j, c in closed])]
+        forms += [certified] if certified is not None else []
+        for base in bases:
+            assert flat_alpha_space(model, base) == alphas_by_unit_alpha(model, base, None)
+            for sf in forms:
+                report = forcing_check(model, sf, base)
+                oracle = alphas_by_unit_alpha(model, base, sf.omega)
+                assert list(report.basis_alphas) == oracle, (model.algebra, base.kind, sf)
+                assert report.witnesses_verified
+                positive += bool(oracle)
+    assert positive >= 100  # the comparison is not only between empty kernels
+
+
+def _random_admissible_twist(rng, model):
+    """A nonzero seeded integer combination of the flat S2 twists."""
+    flats = flat_alpha_space(model, sphere_base())
+    while True:
+        weights = [rng.randint(-2, 2) for _ in flats]
+        alpha = [[sum(w * f[k][0] for w, f in zip(weights, flats))] for k in range(model.n)]
+        if any(row[0] for row in alpha):
+            return alpha
+
+
+def _filiform(n: int) -> LieAlgebraSpec:
+    """L_n: [X_1, X_i] = X_{i+1} for 2 <= i < n."""
+    return LieAlgebraSpec(dim=n, brackets=tuple((1, i, i + 1, F(1)) for i in range(2, n)))
+
+
+H3_H3_R2 = LieAlgebraSpec(dim=8, brackets=((1, 2, 3, F(1)), (4, 5, 6, F(1))))
+
+
+@pytest.mark.parametrize("fibers", ["corpus", "dim8"])
+def test_wang_total_betti_matches_total_model_oracle(fibers, corpus):
+    """Over S2 with alpha != 0 the Wang sequence gives the total model's Betti numbers."""
+    rng = random.Random(1949)
+    models = corpus if fibers == "corpus" else [ce_model(_filiform(8)), ce_model(H3_H3_R2)]
+    moved = 0
+    for model in models:
+        cap = model.n + 2
+        alpha = _random_admissible_twist(rng, model)
+        tm = TwistedModel(sphere_base(), model, alpha, check=True)
+        got = total_betti(tm, cap)
+        assert got == betti_vector_naive(tm.total, cap), (model.algebra, alpha)
+        moved += tuple(got) != csplit_compare(tm, cap).expected
+        low = rng.randint(0, cap - 1)  # a --max-degree below the top
+        assert total_betti(tm, low) == got[: low + 1], (model.algebra, alpha, low)
+    # theta_* != 0 on these twists, so the ranks r_k enter the formula
+    assert moved >= len(models) // 2
