@@ -110,8 +110,8 @@ class TwistedModel:
     Use build_twisted() to construct with the D^2 = 0 admissibility check.
     check=False skips it and makes no flatness promise: forcing_check
     builds its solution alphas that way and verifies D^2 = 0 itself, and
-    total_betti and csplit_compare check it again before they compute
-    anything.
+    total_betti and csplit_compare check an unchecked model before they
+    compute anything.
     """
 
     def __init__(self, base: BaseModel, fiber: CEModel, alpha, check: bool = True):
@@ -151,7 +151,7 @@ class TwistedModel:
 
         self.checked = False
         if check:
-            witness = _twist_witness(self)
+            witness = self.total.flatness_witness()
             if witness is not None:
                 raise TwistIncompatibleError(witness[0], witness[1])
             self.checked = True
@@ -256,35 +256,6 @@ def hamiltonian_obstruction(tm: TwistedModel, sf: SymplecticForm) -> Obstruction
     )
 
 
-def _twist_witness(tm: TwistedModel):
-    """First fiber generator with D^2 != 0 and its D^2, or None when flat.
-
-    D^2 x_k = sum_j a_j theta_j(d x_k) and D^2 vanishes on the base
-    generators, so this is the witness FreeDGA.flatness_witness gives on
-    the total model, computed from contractions on the fiber.
-    """
-    total = tm.total.algebra
-    thetas = [
-        (total.gen(name), _alpha_column(tm.alpha, j))
-        for j, name in enumerate(tm.base.twist_gen_names)
-    ]
-    for g in tm.fiber.algebra.generators:
-        dx = tm.fiber.d.image_of_generator(g.name)
-        dd = total.zero()
-        for a, theta in thetas:
-            t = contract(dx, theta)
-            if t.terms:
-                dd = dd + a * tm.include_fiber(t)
-        if dd.terms:
-            return g.name, dd
-    return None
-
-
-def _alpha_column(alpha, j: int) -> dict[int, Fraction]:
-    """Column j of alpha as a sparse map from fiber generator index."""
-    return {k: row[j] for k, row in enumerate(alpha) if row[j]}
-
-
 def _solve_alphas(fiber: CEModel, m: int, omega: Element | None):
     """Basis of the alphas with D^2 = 0 and, given a closed omega, D(omega) = 0.
 
@@ -386,7 +357,7 @@ def _total_betti(
 ) -> list[int]:
     if tm.alpha_is_zero():
         return kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
-    witness = _twist_witness(tm)
+    witness = None if tm.checked else tm.total.flatness_witness()
     if witness is not None:
         raise TwistIncompatibleError(*witness)
     if tm.base.kind == "s2":
@@ -402,7 +373,7 @@ def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
     coboundaries to coboundaries; r_k is the rank of the induced map
     H^k(F) -> H^{k-1}(F) on the chosen class bases.
     """
-    theta = _alpha_column(tm.alpha, 0)
+    theta = {k: row[0] for k, row in enumerate(tm.alpha) if row[0]}
     b = fiber.betti_vector(cap)
     r = [0] * (cap + 1)
     for k in range(1, cap + 1):

@@ -131,18 +131,20 @@ def differential_matrix(dga: FreeDGA, k: int):
     return rows, len(src)
 
 
-def betti_vector_naive(dga: FreeDGA, cap: int) -> list[int]:
-    """b_k = dim C^k - rank d_k - rank d_{k-1} for k = 0..cap, by the naive path.
+def betti_naive(dga: FreeDGA, k: int) -> int:
+    """dim C^k - rank d_k - rank d_{k-1}, all by the naive path."""
+    d_out, dim_k = differential_matrix(dga, k)
+    rank_out = rank_naive(d_out)
+    if k == 0:
+        rank_in = 0
+    else:
+        d_in, _ = differential_matrix(dga, k - 1)
+        rank_in = rank_naive(d_in)
+    return dim_k - rank_out - rank_in
 
-    Each differential is assembled afresh and ranked once.
-    """
-    ranks = []
-    dims = []
-    for k in range(cap + 1):
-        rows, dim_k = differential_matrix(dga, k)
-        ranks.append(rank_naive(rows))
-        dims.append(dim_k)
-    return [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(cap + 1)]
+
+def betti_vector_naive(dga: FreeDGA, cap: int) -> list[int]:
+    return [betti_naive(dga, k) for k in range(cap + 1)]
 
 
 def koszul_sign_by_sorting(key_a, key_b, parity):
