@@ -15,13 +15,15 @@ structural shape such models must have.
 
 On fiber elements D = d + sum_j a_j theta_j, where theta_j is the degree -1
 contraction with the j-th alpha column (exterior.contract). Hence
-D^2 x_k = sum_j a_j theta_j(d x_k) and D(omega) = sum_j a_j theta_j(omega)
-for closed omega. D^2 = 0 is never assumed: the constructor checks it on
-every generator and rejects incompatible alpha with a witness. The forcing
-solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0, the
-admissibility and Hamiltonian conditions, for all alpha at once and decides
-whether they force alpha = 0. When they do, the only admissible model is
-the product one, and total cohomology splits as base tensor fiber.
+D^2 x_k = sum_j a_j theta_j(d x_k) and D(omega) = d omega + sum_j a_j
+theta_j(omega), and the obstruction is read off these contractions. D^2 = 0
+is never assumed: build_twisted checks it on every generator and rejects
+incompatible alpha with a witness, and csplit_compare checks it before it
+computes a nonzero twist. The forcing solver assembles theta_j(d x_k) = 0
+and theta_j(omega) = 0, the admissibility and Hamiltonian conditions for a
+closed omega, for all alpha at once and decides whether they force
+alpha = 0. When they do, the only admissible model is the product one, and
+total cohomology splits as base tensor fiber.
 
 Total Betti numbers come from one of three paths:
 - alpha = 0, any base: the total DGA is base tensor fiber, so its Betti
@@ -107,14 +109,11 @@ def normalize_alpha(alpha, n_fiber: int, m: int) -> tuple[tuple[Fraction, ...], 
 class TwistedModel:
     """Base tensor fiber with twisting matrix alpha; see the module docstring.
 
-    Use build_twisted() to construct with the D^2 = 0 admissibility check.
-    check=False skips it and makes no flatness promise: forcing_check
-    builds its solution alphas that way and verifies D^2 = 0 itself, and
-    total_betti and csplit_compare check an unchecked model before they
-    compute anything.
+    The constructor only builds the model and makes no D^2 = 0 promise;
+    build_twisted() is the constructor that checks it.
     """
 
-    def __init__(self, base: BaseModel, fiber: CEModel, alpha, check: bool = True):
+    def __init__(self, base: BaseModel, fiber: CEModel, alpha):
         self.base = base
         self.fiber = fiber
         self.alpha = normalize_alpha(alpha, fiber.n, base.m)
@@ -149,35 +148,12 @@ class TwistedModel:
             images[name] = img
         self.total = FreeDGA(total_alg, Derivation(total_alg, images))
 
-        self.checked = False
-        if check:
-            witness = self.total.flatness_witness()
-            if witness is not None:
-                raise TwistIncompatibleError(witness[0], witness[1])
-            self.checked = True
-
-    @property
-    def n_base_gens(self) -> int:
-        return len(self.base.dga.algebra.generators)
-
     def alpha_is_zero(self) -> bool:
         return all(not c for row in self.alpha for c in row)
 
-    def restrict_to_fiber(self, u: Element) -> Element:
-        """Rewrite an element supported on fiber monomials over the fiber."""
-        nb = self.n_base_gens
-        terms = {}
-        for key, c in u.terms.items():
-            shifted = []
-            for p in range(0, len(key), 2):
-                if key[p] < nb:
-                    raise StructuralError(
-                        "element involves base generators; cannot restrict"
-                    )
-                shifted.append(key[p] - nb)
-                shifted.append(key[p + 1])
-            terms[tuple(shifted)] = c
-        return self.fiber.algebra.element(terms)
+    def theta(self, j: int) -> dict[int, Fraction]:
+        """Column j of alpha (0-based) as the contraction map of exterior.contract."""
+        return {k: row[j] for k, row in enumerate(self.alpha) if row[j]}
 
     def structure_conditions_hold(self) -> bool:
         """D restricts to the base differential and twists only by base terms.
@@ -185,7 +161,7 @@ class TwistedModel:
         True by construction; re-asserted because downstream conclusions
         lean on exactly these two conditions.
         """
-        nb = self.n_base_gens
+        nb = len(self.base.dga.algebra.generators)
         for g in self.base.dga.algebra.generators:
             want = self.include_base(self.base.dga.d.image_of_generator(g.name))
             if self.total.d.image_of_generator(g.name) != want:
@@ -200,18 +176,26 @@ class TwistedModel:
         return True
 
 
+def _require_flat(tm: TwistedModel) -> None:
+    witness = tm.total.flatness_witness()
+    if witness is not None:
+        raise TwistIncompatibleError(*witness)
+
+
 def build_twisted(fiber: CEModel, base: BaseModel, alpha) -> TwistedModel:
     """Construct the twisted model, verifying D^2 = 0 on every generator."""
-    return TwistedModel(base, fiber, alpha, check=True)
+    tm = TwistedModel(base, fiber, alpha)
+    _require_flat(tm)
+    return tm
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
     """D(omega) in the total model and its base-generator coefficients.
 
-    per_generator[a_j] is the degree-1 fiber element multiplying a_j in
-    D(omega); for these bases it equals the contraction of omega with the
-    j-th alpha column, and the model is Hamiltonian iff full == 0.
+    per_generator[a_j] = theta_j(omega), the contraction of omega with the
+    j-th alpha column, and full = d omega + sum_j a_j theta_j(omega). The
+    model is Hamiltonian iff full == 0. omega need not be closed.
     """
 
     full: Element
@@ -222,35 +206,11 @@ class ObstructionReport:
 def hamiltonian_obstruction(tm: TwistedModel, sf: SymplecticForm) -> ObstructionReport:
     if sf.model.algebra is not tm.fiber.algebra:
         raise StructuralError("symplectic form lives on a different fiber")
-    omega_total = tm.include_fiber(sf.omega)
-    full = tm.total.d(omega_total)
-
-    nb = tm.n_base_gens
-    twist_indices = {
-        tm.total.algebra._by_name[name].index: name for name in tm.base.twist_gen_names
-    }
-    buckets: dict[str, dict[tuple, Fraction]] = {
-        name: {} for name in tm.base.twist_gen_names
-    }
-    for key, c in full.terms.items():
-        base_part = [
-            (key[p], key[p + 1]) for p in range(0, len(key), 2) if key[p] < nb
-        ]
-        if len(base_part) == 1 and base_part[0][1] == 1:
-            idx = base_part[0][0]
-            name = twist_indices.get(idx)
-            if name is not None:
-                fiber_key = tuple(
-                    v
-                    for p in range(0, len(key), 2)
-                    if key[p] >= nb
-                    for v in (key[p], key[p + 1])
-                )
-                buckets[name][fiber_key] = buckets[name].get(fiber_key, ZERO) + c
-    per_generator = {
-        name: tm.restrict_to_fiber(Element(tm.total.algebra, terms))
-        for name, terms in buckets.items()
-    }
+    full = tm.include_fiber(tm.fiber.d(sf.omega))
+    per_generator = {}
+    for j, name in enumerate(tm.base.twist_gen_names):
+        per_generator[name] = contract(sf.omega, tm.theta(j))
+        full = full + tm.total.algebra.gen(name) * tm.include_fiber(per_generator[name])
     return ObstructionReport(
         full=full, per_generator=per_generator, hamiltonian=full.is_zero()
     )
@@ -305,15 +265,22 @@ class ForcingReport:
 
 
 def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> ForcingReport:
-    """Solve the forcing system exactly over all alpha matrices."""
+    """Solve the forcing system exactly over all alpha matrices.
+
+    omega must be closed: otherwise D(omega) has the alpha-free part
+    d omega, no twist is Hamiltonian, and StructuralError names d omega.
+    """
     if sf.model.algebra is not fiber.algebra:
         raise StructuralError("symplectic form lives on a different fiber")
+    d_omega = fiber.d(sf.omega)
+    if not d_omega.is_zero():
+        raise StructuralError(f"omega is not closed: d(omega) = {d_omega}")
     n, m = fiber.n, base.m
     basis_alphas = _solve_alphas(fiber, m, sf.omega)
 
     verified = True
     for alpha in basis_alphas:
-        tm = TwistedModel(base, fiber, alpha, check=False)
+        tm = TwistedModel(base, fiber, alpha)
         flat = tm.total.flatness_witness() is None
         ham = tm.total.d(tm.include_fiber(sf.omega)).is_zero()
         verified = verified and flat and ham
@@ -334,35 +301,8 @@ def flat_alpha_space(fiber: CEModel, base: BaseModel):
 
 
 def total_betti(tm: TwistedModel, cap: int | None = None) -> list[int]:
-    """Betti numbers of the total space through degree cap.
-
-    Default cap is fiber dimension + 2, the formal top of an S2-base total
-    space; the base contributes nothing above that. alpha = 0 gives the
-    Kunneth convolution, an S2 base with alpha != 0 the Wang sequence, and
-    a formal base with alpha != 0 the cohomology of the total model. A
-    twist with D^2 != 0 raises TwistIncompatibleError.
-    """
-    if cap is None:
-        cap = tm.fiber.n + 2
-    return _total_betti(
-        tm,
-        cap,
-        Cohomology(tm.fiber.dga, max_degree=cap),
-        Cohomology(tm.base.dga, max_degree=cap),
-    )
-
-
-def _total_betti(
-    tm: TwistedModel, cap: int, fiber: Cohomology, base: Cohomology
-) -> list[int]:
-    if tm.alpha_is_zero():
-        return kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
-    witness = None if tm.checked else tm.total.flatness_witness()
-    if witness is not None:
-        raise TwistIncompatibleError(*witness)
-    if tm.base.kind == "s2":
-        return _wang_betti(tm, cap, fiber)
-    return Cohomology(tm.total, max_degree=cap).betti_vector(cap)
+    """Betti numbers of the total space through degree cap (csplit_compare.total)."""
+    return list(csplit_compare(tm, cap).total)
 
 
 def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
@@ -373,7 +313,7 @@ def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
     coboundaries to coboundaries; r_k is the rank of the induced map
     H^k(F) -> H^{k-1}(F) on the chosen class bases.
     """
-    theta = {k: row[0] for k, row in enumerate(tm.alpha) if row[0]}
+    theta = tm.theta(0)
     b = fiber.betti_vector(cap)
     r = [0] * (cap + 1)
     for k in range(1, cap + 1):
@@ -406,22 +346,35 @@ class CsplitVerdict:
 
 
 def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
-    """Compare total Betti numbers with the base x fiber convolution."""
+    """Compare total Betti numbers with the base x fiber convolution.
+
+    Default cap is fiber dimension + 2, the formal top of an S2-base total
+    space. expected is the Kunneth convolution, and so is total at
+    alpha = 0. A nonzero twist is checked for D^2 = 0 (TwistIncompatibleError
+    otherwise); total then comes from the Wang sequence over S2 and from the
+    cohomology of the total model over a formal base.
+    """
     if cap is None:
         cap = tm.fiber.n + 2
     fiber = Cohomology(tm.fiber.dga, max_degree=cap)
     base = Cohomology(tm.base.dga, max_degree=cap)
-    total = _total_betti(tm, cap, fiber, base)
     expected = kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
     alpha_zero = tm.alpha_is_zero()
-    ring_level = alpha_zero and tm.structure_conditions_hold()
+    if alpha_zero:
+        total = expected
+    else:
+        _require_flat(tm)
+        if tm.base.kind == "s2":
+            total = _wang_betti(tm, cap, fiber)
+        else:
+            total = Cohomology(tm.total, max_degree=cap).betti_vector(cap)
     return CsplitVerdict(
         c_splits=total == expected,
         cap=cap,
         total=tuple(total),
         expected=tuple(expected),
         alpha_zero=alpha_zero,
-        ring_level=ring_level,
+        ring_level=alpha_zero and tm.structure_conditions_hold(),
     )
 
 
@@ -436,7 +389,7 @@ def pullback_column(tm: TwistedModel, i: int) -> TwistedModel:
     if not 1 <= i <= tm.base.m:
         raise IndexError(f"column {i} out of range 1..{tm.base.m}")
     column = [[row[i - 1]] for row in tm.alpha]
-    return TwistedModel(sphere_base(), tm.fiber, column, check=tm.checked)
+    return build_twisted(tm.fiber, sphere_base(), column)
 
 
 def pullback_commutes(tm: TwistedModel, i: int) -> bool:

@@ -261,12 +261,13 @@ def cmd_csplit(args) -> int:
     ce = _validated_model(doc, report, args)
     if ce is None:
         return EXIT_INPUT
+    base = _parse_base(args.base)
+    alpha = None if args.alpha == "solve" else _parse_alpha(args.alpha, ce.n, base.m)
     if ce.n % 2:
         report["status"] = "definitively-none"
         report["reason"] = f"odd dimension {ce.n}: no symplectic structure"
         _emit(report, args)
         return EXIT_NO_SYMPLECTIC
-    base = _parse_base(args.base)
     form, code = _omega_for(doc, ce, args, report)
     if form is None:
         _emit(report, args)
@@ -274,7 +275,7 @@ def cmd_csplit(args) -> int:
     cap = args.max_degree if args.max_degree is not None else ce.n + 2
     report["base"] = args.base
 
-    if args.alpha == "solve":
+    if alpha is None:
         forcing = bundles.forcing_check(ce, form, base)
         report["forcing"] = {
             "solution_dimension": forcing.solution_dimension,
@@ -292,7 +293,6 @@ def cmd_csplit(args) -> int:
         _emit(report, args)
         return EXIT_OK
 
-    alpha = _parse_alpha(args.alpha, ce.n, base.m)
     try:
         tm = bundles.build_twisted(ce, base, alpha)
     except TwistIncompatibleError as exc:

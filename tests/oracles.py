@@ -195,7 +195,7 @@ def admissible_alphas_by_grid(fiber, base: BaseModel, omega_fiber: Element, valu
         alpha = tuple(
             tuple(Fraction(flat[k * m + j]) for j in range(m)) for k in range(n)
         )
-        tm = TwistedModel(base, fiber, alpha, check=False)
+        tm = TwistedModel(base, fiber, alpha)
         if tm.total.flatness_witness() is not None:
             continue
         if not tm.total.d(tm.include_fiber(omega_fiber)).is_zero():
@@ -223,7 +223,7 @@ def constraint_columns_by_unit_alpha(fiber, base: BaseModel, omega: Element | No
     generator and one for omega.
     """
     n, m = fiber.n, base.m
-    probe = TwistedModel(base, fiber, unit_alpha(n, m, 0, 0), check=False)
+    probe = TwistedModel(base, fiber, unit_alpha(n, m, 0, 0))
     basis3 = probe.total.algebra.monomials_of_degree(3)
     index3 = {key: r for r, key in enumerate(basis3)}
     gen_names = [g.name for g in fiber.algebra.generators]
@@ -233,7 +233,7 @@ def constraint_columns_by_unit_alpha(fiber, base: BaseModel, omega: Element | No
     columns = []
     for k0 in range(n):
         for j0 in range(m):
-            tm = TwistedModel(base, fiber, unit_alpha(n, m, k0, j0), check=False)
+            tm = TwistedModel(base, fiber, unit_alpha(n, m, k0, j0))
             col = [ZERO] * total_rows
             for g_i, name in enumerate(gen_names):
                 dd = tm.total.d(tm.total.d.image_of_generator(name))

@@ -81,8 +81,10 @@ def test_criterion_2_eq1_identity(catalog_models):
             m = rng.choice([1, 2])
             base = bases[m]
             alpha = [[F(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
-            tm = TwistedModel(base, fiber, alpha, check=False)
+            tm = TwistedModel(base, fiber, alpha)
             ob = hamiltonian_obstruction(tm, omega)
+            # D of the built total model does not go through the contractions
+            assert ob.full == tm.total.d(tm.include_fiber(omega.omega))
             for j, gen_name in enumerate(base.twist_gen_names):
                 column = [alpha[k][j] for k in range(n)]
                 assert ob.per_generator[gen_name] == contraction(omega, column)
@@ -151,7 +153,7 @@ def test_criterion_5_multi_generator_bases(catalog_models, symplectic_forms):
                     ]
                     for k in range(kt.n)
                 ]
-                tm = TwistedModel(base, kt, alpha, check=True)
+                tm = build_twisted(kt, base, alpha)
                 for i in range(1, m + 1):
                     assert pullback_commutes(tm, i), (m, i)
 

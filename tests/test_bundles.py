@@ -62,19 +62,17 @@ def test_sphere_base_shape():
 
 def test_zero_alpha_always_builds(kt):
     tm = build_twisted(kt, sphere_base(), [[0]] * 4)
-    assert tm.checked and tm.alpha_is_zero()
+    assert tm.alpha_is_zero()
     assert tm.structure_conditions_hold()
 
 
 def test_torus_fiber_accepts_any_alpha(t2):
-    tm = build_twisted(t2, sphere_base(), [[F(5)], [F(-7, 3)]])
-    assert tm.checked
+    build_twisted(t2, sphere_base(), [[F(5)], [F(-7, 3)]])
 
 
 def test_kt_alpha_on_x3_is_flat(kt):
     # D^2 x3 = -a (alpha_1 x2 - alpha_2 x1) vanishes when alpha_1=alpha_2=0
-    tm = build_twisted(kt, sphere_base(), [[0], [0], [1], [0]])
-    assert tm.checked
+    build_twisted(kt, sphere_base(), [[0], [0], [1], [0]])
 
 
 def test_kt_alpha_on_x1_is_rejected_with_witness(kt):
@@ -119,8 +117,10 @@ def test_obstruction_coefficient_equals_contraction(kt, kt_form):
     base = formal_even_base(2)
     for _ in range(40):
         alpha = [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(4)]
-        tm = TwistedModel(base, kt, alpha, check=False)
+        tm = TwistedModel(base, kt, alpha)
         ob = hamiltonian_obstruction(tm, kt_form)
+        # D of the built total model does not go through the contractions
+        assert ob.full == tm.total.d(tm.include_fiber(kt_form.omega)), alpha
         for j, name in enumerate(base.twist_gen_names):
             column = [alpha[k][j] for k in range(4)]
             assert ob.per_generator[name] == contraction(kt_form, column), (
@@ -136,6 +136,19 @@ def test_forcing_certified_forms_force_zero(catalog_models, symplectic_forms):
         assert report.solution_dimension == 0, name
 
 
+def test_forcing_refuses_non_closed_form(kt):
+    """d(omega) != 0 leaves no Hamiltonian twist at all, not a forced zero."""
+    not_closed = SymplecticForm.from_coeffs(kt, [(3, 4, 1), (1, 2, 1)])
+    d_omega = kt.d(not_closed.omega)
+    assert str(d_omega) == "-x1*x2*x4"
+    with pytest.raises(StructuralError, match=r"d\(omega\) = -x1\*x2\*x4"):
+        forcing_check(kt, not_closed, sphere_base())
+    # the obstruction still takes it: D(omega) = d(omega) at alpha = 0
+    tm = build_twisted(kt, sphere_base(), [[0]] * 4)
+    ob = hamiltonian_obstruction(tm, not_closed)
+    assert ob.full == tm.include_fiber(d_omega) and not ob.hamiltonian
+
+
 def test_forcing_degenerate_form_leaves_twists(catalog_models):
     t4 = catalog_models["torus4"]
     degenerate = SymplecticForm.from_coeffs(t4, [(1, 2, 1)])
@@ -145,7 +158,7 @@ def test_forcing_degenerate_form_leaves_twists(catalog_models):
     assert report.witnesses_verified
     # every basis alpha really is a Hamiltonian twist: D(omega) = 0 directly
     for alpha in report.basis_alphas:
-        tm = TwistedModel(sphere_base(), t4, alpha, check=True)
+        tm = build_twisted(t4, sphere_base(), alpha)
         assert tm.total.d(tm.include_fiber(degenerate.omega)).is_zero()
         assert any(any(row) for row in alpha)
 
@@ -237,7 +250,7 @@ def test_incompatible_unchecked_twist_is_refused(kt):
         (formal_even_base(2), [[0, 1], [0, 0], [0, 0], [1, 0]]),
     )
     for base, alpha in cases:
-        tm = TwistedModel(base, kt, alpha, check=False)
+        tm = TwistedModel(base, kt, alpha)
         witness = tm.total.flatness_witness()
         assert witness is not None
         with pytest.raises(TwistIncompatibleError) as built:
@@ -269,14 +282,14 @@ def test_flat_alpha_space_kt():
     assert len(flats) == 2
     for alpha in flats:
         assert alpha[0][0] == 0 and alpha[1][0] == 0
-        TwistedModel(base, kt_model, alpha, check=True)
+        build_twisted(kt_model, base, alpha)
 
 
 def test_pullback_column_extracts_columns(kt):
     base = formal_even_base(2)
     flats = flat_alpha_space(kt, base)
     alpha = flats[0]
-    tm = TwistedModel(base, kt, alpha, check=True)
+    tm = build_twisted(kt, base, alpha)
     for i in (1, 2):
         sub = pullback_column(tm, i)
         assert sub.base.kind == "s2"
@@ -310,7 +323,7 @@ def test_pullback_commutation_identity_random_valid_alphas(kt):
                 ]
                 for k in range(4)
             ]
-            tm = TwistedModel(base, kt, alpha, check=True)
+            tm = build_twisted(kt, base, alpha)
             for i in range(1, m + 1):
                 assert pullback_commutes(tm, i)
 

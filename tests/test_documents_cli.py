@@ -386,6 +386,15 @@ def test_cli_csplit_odd_dim_exit3(capsys):
     assert code == 3
 
 
+def test_cli_csplit_odd_dim_malformed_base_or_alpha_exit2(capsys):
+    # a malformed --base or --alpha is an input error before the odd dimension
+    for flags in (("--base", "bogus"), ("--alpha", "1,2")):
+        code, out, err = run_cli(capsys, "csplit", "heisenberg3", *flags)
+        assert code == 2, flags
+        assert out == ""
+        assert err.startswith("error: "), flags
+
+
 def test_cli_catalog_list_and_emit(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--list")
     assert code == 0

@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from nilsplit.bundles import (
-    TwistedModel,
+    build_twisted,
     csplit_compare,
     flat_alpha_space,
     forcing_check,
@@ -198,7 +198,7 @@ def test_wang_total_betti_matches_total_model_oracle(fibers, corpus):
     for model in models:
         cap = model.n + 2
         alpha = _random_admissible_twist(rng, model)
-        tm = TwistedModel(sphere_base(), model, alpha, check=True)
+        tm = build_twisted(model, sphere_base(), alpha)
         got = total_betti(tm, cap)
         assert got == betti_vector_naive(tm.total, cap), (model.algebra, alpha)
         moved += tuple(got) != csplit_compare(tm, cap).expected
