@@ -17,13 +17,15 @@ On fiber elements D = d + sum_j a_j theta_j, where theta_j is the degree -1
 contraction with the j-th alpha column (exterior.contract). Hence
 D^2 x_k = sum_j a_j theta_j(d x_k) and D(omega) = d omega + sum_j a_j
 theta_j(omega), and the obstruction is read off these contractions. D^2 = 0
-is never assumed: build_twisted checks it on every generator and rejects
-incompatible alpha with a witness, and csplit_compare checks it before it
-computes a nonzero twist. The forcing solver assembles theta_j(d x_k) = 0
-and theta_j(omega) = 0, the admissibility and Hamiltonian conditions for a
-closed omega, for all alpha at once and decides whether they force
-alpha = 0. When they do, the only admissible model is the product one, and
-total cohomology splits as base tensor fiber.
+is never assumed for a nonzero twist: csplit_compare checks it on every
+generator before it computes any cohomology and rejects incompatible alpha
+with a witness (build_twisted does the same for library callers). At
+alpha = 0 the model is base tensor a checked CE model and needs no check.
+The forcing solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0,
+the admissibility and Hamiltonian conditions for a closed omega, for all
+alpha at once and decides whether they force alpha = 0. When they do, the
+only admissible model is the product one, and total cohomology splits as
+base tensor fiber.
 
 Total Betti numbers come from one of three paths:
 - alpha = 0, any base: the total DGA is base tensor fiber, so its Betti
@@ -110,7 +112,8 @@ class TwistedModel:
     """Base tensor fiber with twisting matrix alpha; see the module docstring.
 
     The constructor only builds the model and makes no D^2 = 0 promise;
-    build_twisted() is the constructor that checks it.
+    csplit_compare() checks it for a nonzero twist, and build_twisted() is
+    the constructor that checks it up front.
     """
 
     def __init__(self, base: BaseModel, fiber: CEModel, alpha):
@@ -350,24 +353,25 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
 
     Default cap is fiber dimension + 2, the formal top of an S2-base total
     space. expected is the Kunneth convolution, and so is total at
-    alpha = 0. A nonzero twist is checked for D^2 = 0 (TwistIncompatibleError
-    otherwise); total then comes from the Wang sequence over S2 and from the
-    cohomology of the total model over a formal base.
+    alpha = 0. This is where a nonzero twist is checked: D^2 = 0 on every
+    generator comes first, before any cohomology, and TwistIncompatibleError
+    names a witness otherwise. total then comes from the Wang sequence over
+    S2 and from the cohomology of the total model over a formal base.
     """
+    alpha_zero = tm.alpha_is_zero()
+    if not alpha_zero:
+        _require_flat(tm)
     if cap is None:
         cap = tm.fiber.n + 2
     fiber = Cohomology(tm.fiber.dga, max_degree=cap)
     base = Cohomology(tm.base.dga, max_degree=cap)
     expected = kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
-    alpha_zero = tm.alpha_is_zero()
     if alpha_zero:
         total = expected
+    elif tm.base.kind == "s2":
+        total = _wang_betti(tm, cap, fiber)
     else:
-        _require_flat(tm)
-        if tm.base.kind == "s2":
-            total = _wang_betti(tm, cap, fiber)
-        else:
-            total = Cohomology(tm.total, max_degree=cap).betti_vector(cap)
+        total = Cohomology(tm.total, max_degree=cap).betti_vector(cap)
     return CsplitVerdict(
         c_splits=total == expected,
         cap=cap,

@@ -241,8 +241,7 @@ def _parse_alpha(text: str, n: int, m: int):
     return out
 
 
-def _csplit_sections(report: dict, tm: bundles.TwistedModel, cap: int) -> None:
-    verdict = bundles.csplit_compare(tm, cap)
+def _csplit_sections(report: dict, verdict: bundles.CsplitVerdict) -> None:
     report["total_betti"] = list(verdict.total)
     report["csplit"] = {
         "c_splits": verdict.c_splits,
@@ -287,14 +286,15 @@ def cmd_csplit(args) -> int:
             "witnesses_verified": forcing.witnesses_verified,
         }
         zero = [[0] * base.m for _ in range(ce.n)]
-        tm = bundles.build_twisted(ce, base, zero)
-        _csplit_sections(report, tm, cap)
+        verdict = bundles.csplit_compare(bundles.TwistedModel(base, ce, zero), cap)
+        _csplit_sections(report, verdict)
         report["status"] = "forced-zero" if forcing.forced_zero else "twists-remain"
         _emit(report, args)
         return EXIT_OK
 
+    tm = bundles.TwistedModel(base, ce, alpha)
     try:
-        tm = bundles.build_twisted(ce, base, alpha)
+        verdict = bundles.csplit_compare(tm, cap)
     except TwistIncompatibleError as exc:
         report["status"] = "invalid-twist"
         report["twist_error"] = {
@@ -311,7 +311,7 @@ def cmd_csplit(args) -> int:
         },
         "hamiltonian": obstruction.hamiltonian,
     }
-    _csplit_sections(report, tm, cap)
+    _csplit_sections(report, verdict)
     report["status"] = "analyzed"
     _emit(report, args)
     return EXIT_OK

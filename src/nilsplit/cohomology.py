@@ -62,19 +62,15 @@ class CohomologyBasis:
         self.betti = len(self.representatives)
 
     def reduce(self, u: Element) -> list[Fraction]:
-        """Coordinates of a degree-k cocycle in the chosen basis of H^k."""
-        du = self.slice.dga.d(u)
-        if not du.is_zero():
-            raise StructuralError("reduce() expects a cocycle; d(u) != 0")
-        alg = self.slice.dga.algebra
-        for mon in u.terms:
-            if alg.monomial_degree(mon) != self.degree:
-                raise StructuralError(
-                    f"monomial {alg.monomial_str(mon)} is not of degree {self.degree}"
-                )
+        """Coordinates of a degree-k cocycle in the chosen basis of H^k.
+
+        The kept vectors, the images of d on C^{k-1} and then the cocycle
+        basis, span exactly Z^k once d^2 = 0. So a non-cocycle, or a
+        monomial of another degree, leaves a residual and is refused.
+        """
         rest, combination = self._echelon.residual(u.terms)
         if rest:
-            raise StructuralError("cocycle does not lie in the computed span")
+            raise StructuralError(f"not a cocycle of degree {self.degree}")
         first = self._n_boundary
         return [combination.get(first + i, ZERO) for i in range(self.betti)]
 

@@ -269,9 +269,6 @@ class Element:
             {key: c for key, c in self.terms.items() if alg.monomial_degree(key) == k},
         )
 
-    def homogeneous_components(self) -> dict[int, Element]:
-        return {k: self.homogeneous_component(k) for k in self.degrees()}
-
     # -- arithmetic -----------------------------------------------------------
 
     def _require_same_algebra(self, other: Element) -> None:

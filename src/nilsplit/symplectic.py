@@ -259,11 +259,7 @@ class LefschetzEntry:
     isomorphism: bool
 
 
-def hard_lefschetz(
-    model: CEModel,
-    sf: SymplecticForm,
-    cohomology: Cohomology | None = None,
-) -> list[LefschetzEntry]:
+def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     """Rank of cup with [omega]^k : H^{n-k} -> H^{n+k} for 0 <= k <= n.
 
     n is half the dimension. Exact ranks; an entry is an isomorphism when
@@ -271,7 +267,7 @@ def hard_lefschetz(
     """
     if sf.model.algebra is not model.algebra:
         raise StructuralError("form and model live over different generator sets")
-    coh = cohomology if cohomology is not None else Cohomology(model.dga)
+    coh = Cohomology(model.dga)
     half = model.n // 2
     if model.n % 2:
         raise StructuralError("hard Lefschetz needs an even-dimensional model")

@@ -9,7 +9,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import betti_vector_naive
+from oracles import betti_vector_naive, validate_naive
 
 from nilsplit import catalog
 from nilsplit.bundles import (
@@ -244,6 +244,7 @@ def test_criterion_8_property_suites(catalog_models):
             spec = LieAlgebraSpec(dim=dim, brackets=brackets)
             flat = ce_dga(spec).flatness_witness() is None
             assert flat == validate(spec).jacobi_ok
+            assert flat == (not validate_naive(spec)["jacobi_failures"])
             seen_pass += flat
             seen_fail += not flat
         assert seen_pass >= 20 and seen_fail >= 20

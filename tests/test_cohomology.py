@@ -131,9 +131,12 @@ def test_reduce_kills_coboundaries(kt):
 
 def test_reduce_rejects_non_cocycles(kt):
     coh = Cohomology(kt.dga)
-    x3 = kt.algebra.gen("x3")
+    x1, x2, x3 = (kt.algebra.gen(f"x{i}") for i in (1, 2, 3))
     with pytest.raises(StructuralError):
         coh.basis(1).reduce(x3)
+    # a cocycle of degree 2 is not one of degree 1
+    with pytest.raises(StructuralError, match="degree 1"):
+        coh.basis(1).reduce(x1 * x2)
 
 
 def test_cup_torus(torus4):

@@ -318,6 +318,37 @@ def test_cli_csplit_invalid_twist_exit4(capsys):
     assert data["twist_error"]["d_squared"] == "-a*x2"
 
 
+def test_cli_csplit_checks_d_squared_once(capsys, monkeypatch):
+    """One D^2 check for an explicit twist, none for the product model."""
+    from nilsplit.exterior import FreeDGA
+
+    calls = []
+    real = FreeDGA.flatness_witness
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FreeDGA, "flatness_witness", spy)
+    code, _, _ = run_cli(
+        capsys, "csplit", "kodaira-thurston", "--alpha", "0,0,1,0", "--format", "machine"
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+    calls.clear()
+    code, _, _ = run_cli(capsys, "csplit", "kodaira-thurston", "--format", "machine")
+    assert code == 0
+    assert calls == []
+
+    code, out, _ = run_cli(
+        capsys, "csplit", "kodaira-thurston", "--alpha", "1,0,0,0", "--format", "machine"
+    )
+    assert code == 4
+    assert len(calls) == 1
+    assert json.loads(out)["twist_error"] == {"generator": "x3", "d_squared": "-a*x2"}
+
+
 def test_cli_csplit_formal_base(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -121,6 +121,8 @@ def test_d_squared_iff_jacobi_on_random_tables():
         report = validate(candidate)
         flat = ce_dga(candidate).flatness_witness() is None
         assert flat == report.jacobi_ok
+        # validate reads Jacobi off d^2; the dense bracket oracle does not
+        assert flat == (not validate_naive(candidate)["jacobi_failures"])
         seen_pass += report.jacobi_ok
         seen_fail += not report.jacobi_ok
     assert seen_pass >= 20 and seen_fail >= 20
