@@ -158,26 +158,6 @@ class TwistedModel:
         """Column j of alpha (0-based) as the contraction map of exterior.contract."""
         return {k: row[j] for k, row in enumerate(self.alpha) if row[j]}
 
-    def structure_conditions_hold(self) -> bool:
-        """D restricts to the base differential and twists only by base terms.
-
-        True by construction; re-asserted because downstream conclusions
-        lean on exactly these two conditions.
-        """
-        nb = len(self.base.dga.algebra.generators)
-        for g in self.base.dga.algebra.generators:
-            want = self.include_base(self.base.dga.d.image_of_generator(g.name))
-            if self.total.d.image_of_generator(g.name) != want:
-                return False
-        for g in self.fiber.algebra.generators:
-            diff = self.total.d.image_of_generator(g.name) - self.include_fiber(
-                self.fiber.d.image_of_generator(g.name)
-            )
-            for key in diff.terms:
-                if not key or key[0] >= nb:
-                    return False  # not in the ideal generated by base gens
-        return True
-
 
 def _require_flat(tm: TwistedModel) -> None:
     witness = tm.total.flatness_witness()
@@ -378,7 +358,7 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
         total=tuple(total),
         expected=tuple(expected),
         alpha_zero=alpha_zero,
-        ring_level=alpha_zero and tm.structure_conditions_hold(),
+        ring_level=alpha_zero,
     )
 
 

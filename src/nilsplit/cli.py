@@ -118,7 +118,7 @@ def _omega_for(doc: AlgebraDocument, ce, args, report: dict):
     fails certification, else "definitively-none" from the search, a proof
     that no closed 2-form is nondegenerate (search.reason names it).
     """
-    if getattr(args, "omega_from_file", False) or doc.omega is not None:
+    if args.omega_from_file or doc.omega is not None:
         coeffs = doc.omega_coeffs()
         if coeffs is None:
             raise DocumentError("document carries no omega field")

@@ -6,9 +6,8 @@ is constructed. A monomial is a flat tuple (i0, e0, i1, e1, ...) in normal
 form: indices strictly ascending, exponents positive, and exponent <= 1
 for odd-degree generators since odd squares vanish. An Element maps
 monomial keys to nonzero Fractions; inhomogeneous elements are allowed and
-expose their homogeneous pieces by degree. Products merge monomial keys
-with their Koszul signs in merge_monomials, the inner loop of every
-product downstream.
+list their degrees. Products merge monomial keys with their Koszul signs
+in merge_monomials, the inner loop of every product downstream.
 
 Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
@@ -250,9 +249,6 @@ class Element:
     def degrees(self) -> list[int]:
         return sorted({self.algebra.monomial_degree(k) for k in self.terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self):
         """Degree of a homogeneous element; None for 0, error otherwise."""
         ds = self.degrees()
@@ -261,13 +257,6 @@ class Element:
         if len(ds) > 1:
             raise StructuralError(f"element is inhomogeneous (degrees {ds})")
         return ds[0]
-
-    def homogeneous_component(self, k: int) -> Element:
-        alg = self.algebra
-        return Element(
-            alg,
-            {key: c for key, c in self.terms.items() if alg.monomial_degree(key) == k},
-        )
 
     # -- arithmetic -----------------------------------------------------------
 

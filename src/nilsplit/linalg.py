@@ -6,8 +6,8 @@ that enlarge the span of those kept before them, and writes every other
 vector as a combination of the kept ones. Which vectors are kept and those
 combinations depend only on the arrival order, never on how elimination
 proceeds, so the kernel bases, representatives and coordinates built on
-top are byte-stable. `kernel` takes sparse columns; `rank` and `nullspace`
-are the entry points for dense matrices given as lists of rows.
+top are byte-stable. `kernel` takes sparse columns; `rank` is the one
+entry point for a dense matrix given as a list of rows.
 """
 
 from __future__ import annotations
@@ -142,9 +142,3 @@ def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
         basis.append(v)
     return echelon, basis
 
-
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Dense basis of the right kernel of a matrix given as rows; see kernel."""
-    columns = zip(*rows) if rows else [()] * ncols
-    _, basis = kernel(_sparse(column) for column in columns)
-    return [[v.get(j, ZERO) for j in range(ncols)] for v in basis]

@@ -1,15 +1,12 @@
 """Symplectic structures on Chevalley-Eilenberg models.
 
 A candidate symplectic form is a degree-2 element omega = sum a_ij x_i x_j
-(i < j). It is symplectic when (1) d omega = 0 and (2) the antisymmetric
-coefficient matrix A = (a_ij) is nonsingular; (2) says omega(X,-) = 0
-forces X = 0, and the functional omega(X,-) itself is the contraction
-
-    iota_X omega = sum a_ij (alpha_i x_j - alpha_j x_i),  alpha_k = x_k(X).
-
-The upper-triangle coefficients are the stored data; the full matrix and
-everything derived from it (exact rank, kernel witnesses) follow. Exact
-rank is the one nondegeneracy test.
+(i < j). It is symplectic when (1) d omega = 0 and (2) omega is
+nondegenerate: the map X -> iota_X omega is injective, so that
+iota_X omega = 0 forces X = 0. The columns of that map are read off
+omega's own terms, and the exact kernel of those sparse columns gives the
+rank and, for a degenerate form, a witness X. The same contraction is
+exterior.contract, which the forcing system and the obstruction use.
 
 The search for a symplectic form runs over the space Z^2 of closed
 2-forms and is a decision procedure with no budget. A 2-form on an
@@ -39,26 +36,25 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """A degree-2 element of a CE model with its skew coefficient matrix."""
+    """A degree-2 element omega of a CE model, built and checked once."""
 
     model: CEModel
-    coeffs: tuple[tuple[int, int, Fraction], ...]  # (i, j, a_ij), 1-based, i < j
+    omega: Element
 
     @staticmethod
     def from_coeffs(model: CEModel, coeffs) -> SymplecticForm:
+        """omega = sum c x_i x_j over (i, j, c) triples, 1-based, i < j."""
         n = model.n
         seen = set()
-        normalized = []
+        terms = {}
         for i, j, c in coeffs:
             if not (1 <= i < j <= n):
                 raise StructuralError(f"coefficient indices ({i},{j}) out of range")
             if (i, j) in seen:
                 raise StructuralError(f"duplicate coefficient for ({i},{j})")
             seen.add((i, j))
-            c = Fraction(c)
-            if c:
-                normalized.append((i, j, c))
-        return SymplecticForm(model, tuple(sorted(normalized)))
+            terms[(i - 1, 1, j - 1, 1)] = c
+        return SymplecticForm(model, model.algebra.element(terms))
 
     @staticmethod
     def from_element(model: CEModel, omega: Element) -> SymplecticForm:
@@ -66,46 +62,10 @@ class SymplecticForm:
             raise StructuralError("omega lives over a different algebra")
         if not omega.is_zero() and omega.degree() != 2:
             raise StructuralError("omega must be homogeneous of degree 2")
-        coeffs = []
-        for key, c in omega.terms.items():
-            # degree-2 monomials of a CE model are exactly x_i x_j, i < j
-            i, j = key[0] + 1, key[2] + 1
-            coeffs.append((i, j, c))
-        return SymplecticForm.from_coeffs(model, coeffs)
-
-    @property
-    def omega(self) -> Element:
-        terms = {(i - 1, 1, j - 1, 1): c for i, j, c in self.coeffs}
-        return self.model.algebra.element(terms)
-
-    def matrix(self) -> list[list[Fraction]]:
-        n = self.model.n
-        A = [[ZERO] * n for _ in range(n)]
-        for i, j, c in self.coeffs:
-            A[i - 1][j - 1] = c
-            A[j - 1][i - 1] = -c
-        return A
+        return SymplecticForm(model, omega)
 
     def __str__(self):
         return str(self.omega)
-
-
-def contraction(sf: SymplecticForm, alpha) -> Element:
-    """iota_X omega for the vector X with x_k(X) = alpha_k.
-
-    Literal expansion of sum a_ij (alpha_i x_j - alpha_j x_i); as a
-    coordinate vector this is the product of A^T with alpha.
-    """
-    n = sf.model.n
-    alpha = [Fraction(a) for a in alpha]
-    if len(alpha) != n:
-        raise StructuralError(f"alpha must have length {n}")
-    coords = [ZERO] * n
-    for i, j, c in sf.coeffs:
-        coords[j - 1] += c * alpha[i - 1]
-        coords[i - 1] -= c * alpha[j - 1]
-    terms = {(k, 1): c for k, c in enumerate(coords) if c}
-    return Element(sf.model.algebra, terms)
 
 
 @dataclass(frozen=True)
@@ -125,14 +85,25 @@ class SymplecticCertificate:
 
 
 def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
-    """Certify closedness and nondegeneracy of a degree-2 element."""
-    sf = SymplecticForm.from_element(model, omega)
+    """Certify closedness and nondegeneracy of a degree-2 element.
+
+    Column k of X -> iota_X omega is iota_{e_k} omega: a term c x_i x_j
+    puts c at x_j in column i and -c at x_i in column j. The rank is n
+    minus the dimension of the kernel, and the witness is the first
+    reduced-echelon kernel vector (see linalg.kernel).
+    """
+    SymplecticForm.from_element(model, omega)
     d_omega = model.d(omega)
-    A = sf.matrix()
     n = model.n
-    kernel = linalg.nullspace(A, n)
+    columns: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for key, c in omega.terms.items():
+        # degree-2 monomials of a CE model are exactly x_i x_j, i < j
+        i, j = key[0], key[2]
+        columns[i][j] = c
+        columns[j][i] = -c
+    _, kernel = linalg.kernel(columns)
     rank = n - len(kernel)
-    witness = tuple(kernel[0]) if kernel else None
+    witness = tuple(kernel[0].get(k, ZERO) for k in range(n)) if kernel else None
     return SymplecticCertificate(
         closed=d_omega.is_zero(),
         d_omega=d_omega,
@@ -224,22 +195,18 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
 
     a = level[0][0]
     for point in product(*(range(a.count(i) + 1) for i in range(m))):
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for w, f in zip(point, basis):
+        omega = model.algebra.zero()
+        for w, omega_i in zip(point, omegas):
             if w:
-                for i, j, c in f.coeffs:
-                    coeffs[(i, j)] = coeffs.get((i, j), ZERO) + w * c
-        form = SymplecticForm.from_coeffs(
-            model, [(i, j, c) for (i, j), c in coeffs.items()]
-        )
-        cert = is_symplectic(model, form.omega)
+                omega = omega + omega_i.scale(w)
+        cert = is_symplectic(model, omega)
         if not cert.nondegenerate:
             continue
         if not cert.symplectic:
             raise StructuralError("search produced an uncertifiable candidate")
         return SymplecticSearchResult(
             status="found",
-            form=form,
+            form=SymplecticForm(model, omega),
             certificate=cert,
             closed_dim=m,
             reason=f"grid witness under a nonzero {half}-fold product of "

@@ -14,7 +14,9 @@ matrices, the forcing system assembled by evaluating the total-model
 derivation at every unit twisting matrix (no contraction formula), and a
 symplectic decision by the principal lattice: closed 2-forms from a dense
 naive kernel, tested for nondegeneracy by naive rank at every lattice
-point.
+point. The interior product of a 2-form is here as the literal formula
+sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
+(a_ij); neither goes through exterior.contract.
 """
 
 from __future__ import annotations
@@ -285,6 +287,33 @@ def nullspace_naive(rows: list[list[Fraction]], ncols: int) -> list[list[Fractio
             v[c] = -row[free]
         basis.append(v)
     return basis
+
+
+def skew_matrix(omega: Element, n: int) -> list[list[Fraction]]:
+    """The dense antisymmetric matrix A = (a_ij) of omega = sum a_ij x_i x_j."""
+    A = [[ZERO] * n for _ in range(n)]
+    for key, c in omega.terms.items():
+        i, j = key[0], key[2]
+        A[i][j] = c
+        A[j][i] = -c
+    return A
+
+
+def contraction_literal(omega: Element, alpha) -> Element:
+    """iota_X omega for x_k(X) = alpha_k, expanded term by term.
+
+    sum a_ij (alpha_i x_j - alpha_j x_i); as a coordinate vector this is
+    A^T alpha for the skew matrix A of omega.
+    """
+    alg = omega.algebra
+    alpha = [Fraction(a) for a in alpha]
+    assert len(alpha) == len(alg.generators)
+    coords = [ZERO] * len(alpha)
+    for key, c in omega.terms.items():
+        i, j = key[0], key[2]
+        coords[j] += c * alpha[i]
+        coords[i] -= c * alpha[j]
+    return Element(alg, {(k, 1): c for k, c in enumerate(coords) if c})
 
 
 def closed_two_forms_naive(dga: FreeDGA) -> list[list[tuple[int, int, Fraction]]]:

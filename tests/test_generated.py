@@ -16,6 +16,8 @@ from oracles import (
     alphas_by_unit_alpha,
     betti_vector_naive,
     closed_two_forms_naive,
+    nullspace_naive,
+    skew_matrix,
     symplectic_by_lattice,
 )
 
@@ -30,17 +32,20 @@ from nilsplit.bundles import (
 )
 from nilsplit.cohomology import Cohomology, poincare_check
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
-from nilsplit.symplectic import SymplecticForm, find_symplectic
+from nilsplit.symplectic import SymplecticForm, find_symplectic, is_symplectic
 
 F = Fraction
 
 
-def random_nilpotent_specs(seed: int, count: int) -> list[LieAlgebraSpec]:
-    """`count` valid nilpotent algebras of dim 4-6 drawn from the seed."""
+def random_nilpotent_specs(seed: int, count: int, dims=(4, 5, 6, 6)):
+    """`count` valid nilpotent algebras, each dimension drawn from `dims`.
+
+    The default lists dim 6 twice: its verdicts vary most.
+    """
     rng = random.Random(seed)
     specs = []
     while len(specs) < count:
-        n = rng.choice((4, 5, 6, 6))  # dim 6 twice: its verdicts vary most
+        n = rng.choice(dims)
         top = rng.randint(1, n - 2)  # brackets land in the last `top` vectors
         triples = [
             (i, j, k)
@@ -169,6 +174,38 @@ def test_forcing_matches_unit_alpha_oracle(catalog_models, symplectic_forms, cor
                 assert report.witnesses_verified
                 positive += bool(oracle)
     assert positive >= 100  # the comparison is not only between empty kernels
+
+
+def test_certificate_matches_dense_kernel_oracle(catalog_models):
+    """Rank and kernel witness equal the dense Gauss-Jordan kernel of A.
+
+    K = nullspace_naive(A, n) for the skew matrix A of a random 2-form; the
+    rank is n - len(K) and the witness is K[0], on the catalog and on
+    random algebras of dim 6-8, for degenerate and nondegenerate forms.
+    """
+    rng = random.Random(8081)
+    models = list(catalog_models.values())
+    specs = random_nilpotent_specs(seed=8081, count=12, dims=(6, 7, 8))
+    models += [ce_model(spec) for spec in specs]
+    seen = {True: 0, False: 0}
+    for model in models:
+        n = model.n
+        for _ in range(15):
+            density = rng.choice([0.2, 0.5, 0.9])
+            coeffs = [
+                (i, j, F(rng.randint(-3, 3)))
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if rng.random() < density
+            ]
+            omega = SymplecticForm.from_coeffs(model, coeffs).omega
+            cert = is_symplectic(model, omega)
+            K = nullspace_naive(skew_matrix(omega, n), n)
+            assert cert.rank == n - len(K), (model.algebra, omega)
+            witness = tuple(K[0]) if K else None
+            assert cert.kernel_witness == witness, (model.algebra, omega)
+            seen[cert.nondegenerate] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
 
 
 def _random_admissible_twist(rng, model):

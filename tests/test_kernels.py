@@ -78,7 +78,9 @@ def test_nullspace_is_the_reduced_echelon_kernel(rows):
         for j in range(ncols)
         if rank_naive([r[: j + 1] for r in rows]) == rank_naive([r[:j] for r in rows])
     ]
-    kernel = linalg.nullspace(rows, ncols)
+    columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+    _, sparse = linalg.kernel(columns)
+    kernel = [[v.get(j, 0) for j in range(ncols)] for v in sparse]
     assert len(kernel) == ncols - rank_naive(rows) == len(free)
     for v, f in zip(kernel, free):
         assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
