@@ -19,6 +19,7 @@ incompatible with the fiber differential.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -411,8 +412,12 @@ def _glue_alpha(argv: list[str]) -> list[str]:
     return out
 
 
+# built on the first main() call, not at import; parse_args keeps no state
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except NilsplitError as exc:

@@ -23,7 +23,6 @@ from .errors import DegreeCapError, StructuralError
 from .exterior import Element, FreeDGA
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DegreeSlice:
@@ -31,7 +30,8 @@ class DegreeSlice:
 
     `basis` is the sorted list of degree-k monomial keys; `images[j]` is
     d(basis[j]) as a map from degree-(k+1) monomial keys to nonzero
-    coefficients.
+    coefficients: the derivation's cached term map itself, shared with
+    its cache and never mutated, so no Element is built per monomial.
     """
 
     def __init__(self, dga: FreeDGA, degree: int):
@@ -39,9 +39,8 @@ class DegreeSlice:
             raise StructuralError("degree must be nonnegative")
         self.dga = dga
         self.degree = degree
-        alg = dga.algebra
-        self.basis = alg.monomials_of_degree(degree)
-        self.images = [dga.d(Element(alg, {key: ONE})).terms for key in self.basis]
+        self.basis = dga.algebra.monomials_of_degree(degree)
+        self.images = [dga.d.monomial_terms(key) for key in self.basis]
 
     @property
     def dim(self) -> int:

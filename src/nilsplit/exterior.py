@@ -9,6 +9,12 @@ monomial keys to nonzero Fractions; inhomogeneous elements are allowed and
 list their degrees. Products merge monomial keys with their Koszul signs
 in merge_monomials, the inner loop of every product downstream.
 
+A Derivation computes d of a monomial from its first block and d of the
+rest by the Leibniz rule, merging keys straight into one term map, and
+caches that map per monomial; DegreeSlice reads the cached maps as its
+sparse columns. monomials_of_degree prunes a branch as soon as the odd
+generators left cannot reach the remaining degree.
+
 Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
 this module may round.
@@ -89,6 +95,15 @@ def merge_monomials(key_a, key_b, parity):
         out.append(key_b[pb + 1])
         pb += 2
     return (-1 if inv & 1 else 1), tuple(out)
+
+
+def _accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c, dropping the key when the sum cancels."""
+    s = terms.get(key, ZERO) + c
+    if s:
+        terms[key] = s
+    else:
+        del terms[key]
 
 
 class Generator(NamedTuple):
@@ -188,27 +203,34 @@ class GradedAlgebra:
         """All normal-form monomial keys of total degree k, sorted.
 
         Finite for every k: odd generators contribute exponent <= 1 and even
-        generators at most k / degree. Sorted by the flat key tuple, which
-        fixes the basis ordering used by every matrix downstream.
+        generators at most k / degree. A branch stops once only odd
+        generators remain and their degrees sum to less than what is left.
+        Sorted by the flat key tuple, which fixes the basis ordering used by
+        every matrix downstream.
         """
         if k < 0:
             return []
         out: list[tuple] = []
-        ngen = len(self.generators)
+        degrees, parity = self.degrees, self.parity
+        ngen = len(degrees)
+        # reach[i]: the largest degree generators i.. can still add, if finite
+        reach = [0] * (ngen + 1)
+        for i in range(ngen - 1, -1, -1):
+            reach[i] = reach[i + 1] + degrees[i] if parity[i] else k
         key: list[int] = []
 
         def rec(i: int, remaining: int) -> None:
             if remaining == 0:
                 out.append(tuple(key))
                 return
-            if i == ngen:
+            if remaining > reach[i]:
                 return
             rec(i + 1, remaining)
-            d = self.degrees[i]
-            cap = 1 if self.parity[i] else remaining // d
+            d = degrees[i]
+            cap = remaining // d
+            if parity[i]:
+                cap = min(cap, 1)
             for e in range(1, cap + 1):
-                if e * d > remaining:
-                    break
                 key.append(i)
                 key.append(e)
                 rec(i + 1, remaining - e * d)
@@ -367,6 +389,15 @@ class Derivation:
     Determined by its generator images through the graded Leibniz rule
     D(uv) = (Du)v + (-1)^|u| u (Dv). Images must be homogeneous of the
     generator's degree plus one (or zero).
+
+    D of a monomial is built from its first block g^e and the rest r,
+
+        D(g^e r) = e g^(e-1) (Dg) r + (-1)^(e|g|) g^e D(r),
+
+    where g^(e-1) is 1 or an even block, so it commutes with Dg. Each
+    product is one merge of monomial keys into a single term map. The
+    cache holds D of every monomial reached so far, the suffixes r
+    included, as term maps that are shared and never mutated.
     """
 
     def __init__(self, algebra: GradedAlgebra, images: Mapping[str, Element]):
@@ -385,44 +416,52 @@ class Derivation:
                 )
             if not img.is_zero():
                 self._images[g.index] = img
-        self._monomial_cache: dict[tuple, Element] = {}
+        self._monomial_cache: dict[tuple, dict] = {(): {}}
 
     def image_of_generator(self, name: str) -> Element:
         g = self.algebra._by_name[name]
         return self._images.get(g.index, self.algebra.zero())
 
-    def _of_monomial(self, key) -> Element:
-        cached = self._monomial_cache.get(key)
-        if cached is not None:
-            return cached
-        alg = self.algebra
-        result = alg.zero()
-        prefix_degree = 0
-        for p in range(0, len(key), 2):
-            i, e = key[p], key[p + 1]
-            img = self._images.get(i)
-            if img is not None:
-                # D hits the block g_i^e: e * g_i^(e-1) * Dg_i, signed by the
-                # degree of everything strictly before the block.
-                left = key[:p] + ((i, e - 1) if e > 1 else ())
-                right = key[p + 2 :]
-                term = Element(alg, {left: ONE}) * img * Element(alg, {right: ONE})
-                if prefix_degree & 1:
-                    term = -term
-                if e != 1:
-                    term = term.scale(e)
-                result = result + term
-            prefix_degree += alg.degrees[i] * e
-        self._monomial_cache[key] = result
-        return result
+    def monomial_terms(self, key) -> dict:
+        """D of one monomial as a term map; cached and shared, never mutate it."""
+        terms = self._monomial_cache.get(key)
+        if terms is not None:
+            return terms
+        parity = self.algebra.parity
+        i, e = key[0], key[1]
+        rest = key[2:]
+        terms = {}
+        img = self._images.get(i)
+        if img is not None:
+            power = (i, e - 1) if e > 1 else ()
+            for k, c in img.terms.items():
+                sign, m = merge_monomials(k, rest, parity)
+                if sign and power:
+                    sign, m = merge_monomials(power, m, parity)
+                    c *= e
+                if sign:
+                    _accumulate(terms, m, c if sign > 0 else -c)
+        tail = self.monomial_terms(rest)
+        if tail:
+            block = (i, e)
+            odd = parity[i]
+            for k, c in tail.items():
+                sign, m = merge_monomials(block, k, parity)
+                if odd:
+                    sign = -sign
+                if sign:
+                    _accumulate(terms, m, c if sign > 0 else -c)
+        self._monomial_cache[key] = terms
+        return terms
 
     def __call__(self, u: Element) -> Element:
         if u.algebra is not self.algebra:
             raise StructuralError("element lives over a different generator set")
-        result = self.algebra.zero()
+        acc: dict[tuple, Fraction] = {}
         for key, c in u.terms.items():
-            result = result + self._of_monomial(key).scale(c)
-        return result
+            for m, x in self.monomial_terms(key).items():
+                _accumulate(acc, m, c * x)
+        return Element(self.algebra, acc)
 
 
 def contract(u: Element, alpha: Mapping[int, Fraction]) -> Element:
@@ -450,11 +489,7 @@ def contract(u: Element, alpha: Mapping[int, Fraction]) -> Element:
             v = alpha.get(i)
             if v:
                 rest = key[:p] + key[p + 2 :]
-                s = acc.get(rest, ZERO) + (-c * v if position & 1 else c * v)
-                if s:
-                    acc[rest] = s
-                else:
-                    del acc[rest]
+                _accumulate(acc, rest, -c * v if position & 1 else c * v)
             position += degrees[i] * key[p + 1]
     return Element(alg, acc)
 

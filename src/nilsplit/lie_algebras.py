@@ -129,11 +129,15 @@ class ValidationReport:
 
 def validate(spec: LieAlgebraSpec) -> ValidationReport:
     """Check the Jacobi identity, as d^2 = 0, and nilpotency; never raises."""
+    return _validate(spec, ce_dga(spec))
+
+
+def _validate(spec: LieAlgebraSpec, dga: FreeDGA) -> ValidationReport:
+    """validate(spec), reading d^2 off dga = ce_dga(spec)."""
     n = spec.dim
 
     # The coefficient of x_i x_j x_k (i < j < k) in d^2 x_m is component m
     # of the Jacobiator J(X_i, X_j, X_k).
-    dga = ce_dga(spec)
     defects: dict[tuple, dict[int, Fraction]] = {}
     for m, g in enumerate(dga.generators, start=1):
         for key, c in dga.d(dga.d.image_of_generator(g.name)).terms.items():
@@ -219,10 +223,12 @@ def ce_dga(spec: LieAlgebraSpec) -> FreeDGA:
 def ce_model(spec: LieAlgebraSpec) -> CEModel:
     """Build the CE model; rejects specs that fail validation.
 
-    validate has already checked d^2 = 0 on ce_dga(spec), and ce_dga is
-    deterministic, so the model returned here needs no second check.
+    The model keeps the DGA that validation checked d^2 = 0 on, so what
+    that pass cached, d of every monomial in the support of some d x_k,
+    serves the cohomology built on it.
     """
-    report = validate(spec)
+    dga = ce_dga(spec)
+    report = _validate(spec, dga)
     if not report.ok:
         raise InvalidLieAlgebraError(report)
-    return CEModel(spec=spec, dga=ce_dga(spec), report=report)
+    return CEModel(spec=spec, dga=dga, report=report)

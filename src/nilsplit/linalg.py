@@ -2,12 +2,15 @@
 
 A vector is a dict from a totally ordered index to a nonzero Fraction;
 absent indices are zero. `Echelon` keeps, in arrival order, the vectors
-that enlarge the span of those kept before them, and writes every other
-vector as a combination of the kept ones. Which vectors are kept and those
-combinations depend only on the arrival order, never on how elimination
-proceeds, so the kernel bases, representatives and coordinates built on
-top are byte-stable. `kernel` takes sparse columns; `rank` is the one
-entry point for a dense matrix given as a list of rows.
+that enlarge the span of those kept before them; `add` only says whether
+it kept a vector. A vector in the span has a unique combination of the
+kept ones, built only on request: `kernel` is the one reader of the
+combinations of dependent columns, and `residual` gives the combination
+of any vector. Which vectors are kept and those combinations depend only
+on the arrival order, never on how elimination proceeds, so the kernel
+bases, representatives and coordinates built on top are byte-stable.
+`kernel` takes sparse columns; `rank` is the one entry point for a dense
+matrix given as a list of rows.
 """
 
 from __future__ import annotations
@@ -91,21 +94,24 @@ class Echelon:
         rest, factors = self._eliminate(vector)
         return rest, self._combination(factors)
 
-    def add(self, vector: dict) -> dict[int, Fraction] | None:
-        """Keep the vector and return None if it enlarges the span.
+    def add(self, vector: dict) -> bool:
+        """Keep the vector if it enlarges the span; return whether it did.
 
-        Otherwise return its combination over the kept vectors, a map from
-        kept position to nonzero coefficient (empty for the zero vector).
+        A dependent vector's combination over the kept vectors is not
+        built; kernel() and residual() are the ways to ask for it.
         """
-        rest, factors = self._eliminate(vector)
+        return self._keep(vector, *self._eliminate(vector))
+
+    def _keep(self, vector: dict, rest: dict, factors: dict[int, Fraction]) -> bool:
+        """Keep the vector given its elimination, unless rest is empty."""
         if not rest:
-            return self._combination(factors)
+            return False
         p = min(rest)
         inv = ONE / rest.pop(p)
         self._pivots[p] = (len(self.kept), {i: x * inv for i, x in rest.items()})
         self._steps.append((inv, factors))
         self.kept.append(vector)
-        return None
+        return True
 
 
 def _sparse(values) -> dict[int, Fraction]:
@@ -123,6 +129,9 @@ def rank(rows: list[list[Fraction]]) -> int:
 def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
     """Echelon of the sparse columns and a basis of their right kernel.
 
+    Each column is eliminated once, and its combination over the pivot
+    columns is built only when it is dependent.
+
     A column is free when it lies in the span of the columns before it. Its
     kernel vector has a 1 there, 0 at every other free column, and minus the
     column's unique coordinates over the earlier pivot columns: the reduced
@@ -133,10 +142,11 @@ def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
     pivot_columns: list[int] = []
     basis = []
     for j, column in enumerate(columns):
-        combination = echelon.add(column)
-        if combination is None:
+        rest, factors = echelon._eliminate(column)
+        if echelon._keep(column, rest, factors):
             pivot_columns.append(j)
             continue
+        combination = echelon._combination(factors)
         v = {pivot_columns[q]: -combination[q] for q in sorted(combination)}
         v[j] = ONE
         basis.append(v)

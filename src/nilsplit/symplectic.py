@@ -139,10 +139,9 @@ class SymplecticSearchResult:
         return self.status == "found"
 
 
-def closed_two_form_basis(model: CEModel) -> list[SymplecticForm]:
+def closed_two_form_basis(model: CEModel) -> list[Element]:
     """Basis of Z^2, the closed 2-forms; all of degree 2 lies in Lambda^2 V."""
-    cocycles = Cohomology(model.dga).cocycles(2)
-    return [SymplecticForm.from_element(model, omega) for omega in cocycles]
+    return Cohomology(model.dga).cocycles(2)
 
 
 def find_symplectic(model: CEModel) -> SymplecticSearchResult:
@@ -168,13 +167,12 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
 
     if n % 2:
         return none(-1, f"odd dimension {n}")
-    basis = closed_two_form_basis(model)
-    m = len(basis)
+    omegas = closed_two_form_basis(model)
+    m = len(omegas)
     if m == 0:
         return none(0, "no nonzero closed 2-forms")
 
     half = n // 2
-    omegas = [f.omega for f in basis]
     # the kept products spanning W_j, each with its multiset of basis indices
     level: list[tuple[tuple[int, ...], Element]] = [((), model.algebra.one())]
     for j in range(1, half + 1):
@@ -183,7 +181,7 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
         for indices, w in level:
             for i, omega in enumerate(omegas):
                 p = omega * w
-                if echelon.add(p.terms) is None:
+                if echelon.add(p.terms):
                     kept.append((indices + (i,), p))
         if not kept:
             return none(

@@ -4,7 +4,9 @@ The production Betti pipeline eliminates the sparse images of the
 differential in one incremental echelon (nilsplit.linalg.Echelon). The
 oracle here deliberately takes the other road: dense textbook Gaussian
 elimination over Fraction with naive first-nonzero pivoting, plus its own
-dense matrix assembly from the differential. Anything the two roads
+dense matrix assembly: its own basis enumeration and its own d of a
+monomial by the block-by-block product formula, reading nothing of the
+production derivation but its generator images. Anything the two roads
 disagree on is a bug.
 
 Also here: a dense validation of structure constants (Jacobi on every
@@ -120,15 +122,54 @@ def validate_naive(spec) -> dict:
     }
 
 
+def monomials_naive(algebra, k: int) -> list[tuple]:
+    """Degree-k monomial keys, by filtering every exponent vector.
+
+    Odd generators take exponent 0 or 1, even ones 0..k // degree; the
+    keys of the vectors of total degree k are listed in sorted order.
+    """
+    if k < 0:
+        return []
+    degrees = algebra.degrees
+    ranges = [range(2) if d % 2 else range(k // d + 1) for d in degrees]
+    out = []
+    for exponents in itertools.product(*ranges):
+        if sum(e * d for e, d in zip(exponents, degrees)) == k:
+            out.append(tuple(x for i, e in enumerate(exponents) if e for x in (i, e)))
+    return sorted(out)
+
+
+def d_of_monomial_naive(dga: FreeDGA, key) -> Element:
+    """d of one monomial by the product formula, block by block.
+
+    For each block g^e: e * left * dg * right, where left is everything
+    before the block times g^(e-1) and right everything after it, signed
+    by the degree of what precedes the block. Reads only the generator
+    images; no Derivation code runs.
+    """
+    alg = dga.algebra
+    result = alg.zero()
+    prefix_degree = 0
+    for p in range(0, len(key), 2):
+        i, e = key[p], key[p + 1]
+        img = dga.d.image_of_generator(alg.generators[i].name)
+        left = key[:p] + ((i, e - 1) if e > 1 else ())
+        right = key[p + 2 :]
+        term = Element(alg, {left: ONE}) * img * Element(alg, {right: ONE})
+        sign = -e if prefix_degree % 2 else e
+        result = result + term.scale(sign)
+        prefix_degree += alg.degrees[i] * e
+    return result
+
+
 def differential_matrix(dga: FreeDGA, k: int):
-    """Matrix of d: C^k -> C^{k+1}, assembled afresh from the derivation."""
-    src = dga.algebra.monomials_of_degree(k)
-    dst = dga.algebra.monomials_of_degree(k + 1)
+    """Matrix of d: C^k -> C^{k+1}, from the naive basis and product formula."""
+    src = monomials_naive(dga.algebra, k)
+    dst = monomials_naive(dga.algebra, k + 1)
     index = {key: r for r, key in enumerate(dst)}
     rows = [[ZERO] * len(src) for _ in dst]
     for c, key in enumerate(src):
-        image = dga.d(Element(dga.algebra, {key: ONE}))
-        for mon, coeff in image.terms.items():
+        for mon, coeff in d_of_monomial_naive(dga, key).terms.items():
             rows[index[mon]][c] = coeff
     return rows, len(src)
 
@@ -322,7 +363,7 @@ def closed_two_forms_naive(dga: FreeDGA) -> list[list[tuple[int, int, Fraction]]
     CE generators have degree 1, so each degree-2 key is x_i x_j with i < j.
     """
     rows, ncols = differential_matrix(dga, 2)
-    keys = dga.algebra.monomials_of_degree(2)
+    keys = monomials_naive(dga.algebra, 2)
     return [
         [(key[0], key[2], c) for key, c in zip(keys, v) if c]
         for v in nullspace_naive(rows, ncols)

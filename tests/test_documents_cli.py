@@ -150,13 +150,13 @@ def test_cli_validates_each_job_once(tmp_path, capsys, monkeypatch, command):
     from nilsplit import lie_algebras
 
     calls = []
-    real = lie_algebras.validate
+    real = lie_algebras._validate
 
-    def spy(spec):
+    def spy(spec, dga):
         calls.append(spec.dim)
-        return real(spec)
+        return real(spec, dga)
 
-    monkeypatch.setattr(lie_algebras, "validate", spy)
+    monkeypatch.setattr(lie_algebras, "_validate", spy)
     code, _, _ = run_cli(capsys, command, "kodaira-thurston", "--format", "machine")
     assert code == 0
     assert calls == [4]
@@ -168,6 +168,30 @@ def test_cli_validates_each_job_once(tmp_path, capsys, monkeypatch, command):
     assert code == 2
     assert calls == [4]
     assert json.loads(out)["validation"]["jacobi_ok"] is False
+
+
+def test_cli_shared_parser_carries_nothing_between_calls(capsys):
+    """main() reuses one parser; each report equals a fresh parser's."""
+    from nilsplit import cli
+
+    argvs = [
+        ["csplit", "torus2", "--alpha", "1,0", "--format", "machine"],
+        ["csplit", "torus2"],
+        ["cohomology", "torus2", "--max-degree", "1", "--format", "machine"],
+        ["cohomology", "torus2"],
+        ["symplectic", "kodaira-thurston", "--seed", "3", "--format", "machine"],
+        ["symplectic", "kodaira-thurston"],
+    ]
+    shared = [run_cli(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        code = args.func(args)
+        out = capsys.readouterr()
+        fresh.append((code, out.out, out.err))
+    assert shared == fresh
+    assert "alpha_zero: True" in shared[1][1]
 
 
 def test_cli_unknown_input_is_error(capsys):

@@ -85,3 +85,31 @@ def test_nullspace_is_the_reduced_echelon_kernel(rows):
     for v, f in zip(kernel, free):
         assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
         assert [v[g] for g in free] == [int(g == f) for g in free]
+
+
+def test_echelon_add_reports_span_growth_and_residual_recovers_combinations():
+    """add() says whether a vector was kept; residual() still writes the rest."""
+    rng = random.Random(808)
+    for _ in range(100):
+        echelon = linalg.Echelon()
+        vectors = [
+            {i: Fraction(rng.randint(-3, 3)) for i in range(5) if rng.random() < 0.5}
+            for _ in range(7)
+        ]
+        vectors = [{i: x for i, x in v.items() if x} for v in vectors]
+        kept = []
+        for v in vectors:
+            rows = [[u.get(i, 0) for i in range(5)] for u in kept + [v]]
+            grows = rank_naive(rows) > len(kept)
+            assert echelon.add(v) is grows
+            if grows:
+                kept.append(v)
+        assert echelon.kept == kept
+        for v in vectors:
+            rest, combination = echelon.residual(v)
+            assert not rest
+            total = {}
+            for q, c in combination.items():
+                for i, x in echelon.kept[q].items():
+                    total[i] = total.get(i, 0) + c * x
+            assert {i: x for i, x in total.items() if x} == v
