@@ -12,8 +12,7 @@ in merge_monomials, the inner loop of every product downstream.
 A Derivation computes d of a monomial from its first block and d of the
 rest by the Leibniz rule, merging keys straight into one term map, and
 caches that map per monomial; DegreeSlice reads the cached maps as its
-sparse columns. monomials_of_degree prunes a branch as soon as the odd
-generators left cannot reach the remaining degree.
+sparse columns.
 
 Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
@@ -203,34 +202,27 @@ class GradedAlgebra:
         """All normal-form monomial keys of total degree k, sorted.
 
         Finite for every k: odd generators contribute exponent <= 1 and even
-        generators at most k / degree. A branch stops once only odd
-        generators remain and their degrees sum to less than what is left.
-        Sorted by the flat key tuple, which fixes the basis ordering used by
-        every matrix downstream.
+        generators at most k / degree. Sorted by the flat key tuple, which
+        fixes the basis ordering used by every matrix downstream.
         """
         if k < 0:
             return []
         out: list[tuple] = []
-        degrees, parity = self.degrees, self.parity
-        ngen = len(degrees)
-        # reach[i]: the largest degree generators i.. can still add, if finite
-        reach = [0] * (ngen + 1)
-        for i in range(ngen - 1, -1, -1):
-            reach[i] = reach[i + 1] + degrees[i] if parity[i] else k
+        ngen = len(self.generators)
         key: list[int] = []
 
         def rec(i: int, remaining: int) -> None:
             if remaining == 0:
                 out.append(tuple(key))
                 return
-            if remaining > reach[i]:
+            if i == ngen:
                 return
             rec(i + 1, remaining)
-            d = degrees[i]
-            cap = remaining // d
-            if parity[i]:
-                cap = min(cap, 1)
+            d = self.degrees[i]
+            cap = 1 if self.parity[i] else remaining // d
             for e in range(1, cap + 1):
+                if e * d > remaining:
+                    break
                 key.append(i)
                 key.append(e)
                 rec(i + 1, remaining - e * d)
@@ -437,7 +429,8 @@ class Derivation:
             for k, c in img.terms.items():
                 sign, m = merge_monomials(k, rest, parity)
                 if sign and power:
-                    sign, m = merge_monomials(power, m, parity)
+                    s, m = merge_monomials(power, m, parity)
+                    sign *= s
                     c *= e
                 if sign:
                     _accumulate(terms, m, c if sign > 0 else -c)

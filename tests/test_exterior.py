@@ -186,12 +186,19 @@ def test_derivation_matches_product_formula_oracle(mixed, catalog_models):
     """Leibniz recursion vs the block-by-block oracle on three kinds of DGA.
 
     Random derivations on `mixed` (even generators with exponents >= 2, a
-    degree-3 generator), every catalog CE model, and total models over S^2
-    and a formal base on two generators with zero and random twists.
+    degree-3 generator) and on its generators with the even ones first,
+    every catalog CE model, and total models over S^2 and a formal base on
+    two generators with zero and random twists.
     """
     rng = random.Random(606)
-    for _ in range(20):
-        _assert_derivation_matches_oracle(FreeDGA(mixed, _random_derivation(rng, mixed)))
+    # the same generators with the even ones first, so an even block with
+    # a nonzero image is followed by odd generators its image must pass
+    evens_first = GradedAlgebra(
+        [("a1", 2), ("a2", 2), ("x1", 1), ("x2", 1), ("x3", 1), ("b", 3)]
+    )
+    for alg in (mixed, evens_first):
+        for _ in range(20):
+            _assert_derivation_matches_oracle(FreeDGA(alg, _random_derivation(rng, alg)))
     for model in catalog_models.values():
         _assert_derivation_matches_oracle(model.dga)
     for name in ("kodaira-thurston", "heisenberg3", "heisenberg5-plus-r"):
@@ -204,8 +211,19 @@ def test_derivation_matches_product_formula_oracle(mixed, catalog_models):
                 _assert_derivation_matches_oracle(tm.total)
 
 
+def test_derivation_even_block_before_odd_image():
+    """d(a^2 y3) with d a = y1 y2 y4: dg must pass y3 before g^(e-1) joins it."""
+    alg = GradedAlgebra([("a", 2), ("y1", 1), ("y2", 1), ("y3", 1), ("y4", 1)])
+    y1, y2, y3, y4 = (alg.gen(f"y{i}") for i in range(1, 5))
+    a = alg.gen("a")
+    dga = FreeDGA(alg, Derivation(alg, {"a": y1 * y2 * y4}))
+    expected = (a * y1 * y2 * y3 * y4).scale(-2)
+    assert dga.d(a * a * y3) == expected
+    assert d_of_monomial_naive(dga, (0, 2, 3, 1)) == expected
+
+
 def test_monomials_of_degree_matches_naive_enumeration():
-    """The pruned enumeration lists exactly the keys of every exponent vector."""
+    """The enumeration lists exactly the keys of every exponent vector."""
     rng = random.Random(707)
     algebras = [GradedAlgebra([(f"x{i}", 1) for i in range(10)])]
     for _ in range(60):
