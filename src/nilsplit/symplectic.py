@@ -16,7 +16,10 @@ iff every product of n/2 elements of a basis of Z^2 does. The span of
 those products is built one factor at a time: if it dies, that is a proof
 that no symplectic form exists; if a product survives, it names a grid of
 at most 2^{n/2} small integer weights on which a nondegenerate form must
-lie, and the first grid point of full rank is returned.
+lie, and the first grid point of full rank is returned. The chain runs
+on monomials as bit sets of generators with integer coefficients: a
+product that vanishes never reaches the echelon, and the top level ends at
+its first nonzero product, since top degree is a line.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from . import linalg
 from .cohomology import Cohomology
@@ -144,6 +148,70 @@ def closed_two_form_basis(model: CEModel) -> list[Element]:
     return Cohomology(model.dga).cocycles(2)
 
 
+def _products(level, forms):
+    """(label + (i,), omega_i * w) over the kept (label, w) of a level and
+    the basis forms in turn, leaving out the products that vanish.
+
+    w maps bit-set monomials to integers, and forms[i] lists the terms
+    c x_i x_j of omega_i as (bits of {i, j}, bits strictly between i and j,
+    c).
+    """
+    for label, w in level:
+        for i, form in enumerate(forms):
+            p = {}
+            for pair, between, c in form:
+                for s, x in w.items():
+                    if s & pair:
+                        continue
+                    key = s | pair
+                    y = p.get(key, 0) + (-c * x if (s & between).bit_count() & 1 else c * x)
+                    if y:
+                        p[key] = y
+                    else:
+                        del p[key]
+            if p:
+                yield label + (i,), p
+
+
+def _product_chain(omegas: list[Element], half: int):
+    """Yield the labels of the kept products of W_1, ..., W_half in turn.
+
+    A label lists the basis index taken at each level, so the kept vector
+    it names is the product of those forms. The chain ends after the first
+    empty level.
+
+    Every CE generator has degree 1, so a monomial is the bit set S of its
+    generators. A term c x_i x_j times x_S is zero when S meets {i, j};
+    otherwise it is (-1)^|S cap (i, j)| c x_{S + {i, j}}, where (i, j) is
+    the set of generators strictly between i and j: x_j moves past the
+    generators of S below j and x_i past those below i, so those below i
+    are passed twice. Each basis form is scaled to integer coefficients,
+    which scales its products and so changes no linear dependence among
+    them. Which products an echelon keeps depends only on their order and
+    their dependence, not on how the coordinates are named, so the labels
+    are those of the products of the forms themselves. Products that
+    vanish never reach the echelon. Top degree is a line, so W_half keeps
+    exactly its first nonzero product: that level stops there, with no
+    echelon.
+    """
+    forms = []
+    for omega in omegas:
+        den = lcm(*(c.denominator for c in omega.terms.values()))
+        form = []
+        for (i, _, j, _), c in omega.terms.items():
+            form.append((1 << i | 1 << j, (1 << j) - (2 << i), int(c * den)))
+        forms.append(form)
+    level = [((), {0: 1})]
+    for _ in range(1, half):
+        echelon = linalg.Echelon()
+        level = [(label, p) for label, p in _products(level, forms) if echelon.add(p)]
+        yield [label for label, _ in level]
+        if not level:
+            return
+    first = next(_products(level, forms), None)
+    yield [first[0]] if first else []
+
+
 def find_symplectic(model: CEModel) -> SymplecticSearchResult:
     """Decide whether Z^2 has a nondegenerate element; name one if it does.
 
@@ -151,14 +219,21 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
     omega_i and the kept vectors w of W_j. W_j is the span of all products
     of j basis forms, and omega^{n/2} vanishes on all of Z^2 iff
     W_{n/2} = 0, so an empty W_j proves that no symplectic form exists.
-    Otherwise the first kept vector of W_{n/2} is a nonzero product
-    omega^a for a multiset a of basis indices. Top degree is a line, so
+    Otherwise the first nonzero product of level n/2 ends the chain: top
+    degree is a line, so it is the one kept vector of W_{n/2}, a nonzero
+    product omega^a for a multiset a of basis indices. Hence
     (sum t_i omega_i)^{n/2} = P(t) vol for a polynomial P with a nonzero
     t^a coefficient, and sum t_i omega_i is nondegenerate iff P(t) != 0.
     By the Combinatorial Nullstellensatz (Alon 1999) P is nonzero at some
     t in the grid prod {0..a_i}, at most 2^{n/2} points. The grid is
     walked in lexicographic order and the first point whose form has full
     rank is returned with its certificate.
+
+    The products are formed on bit-set monomials (see _product_chain): a
+    term c x_i x_j times x_S is zero when S meets {i, j} and is otherwise
+    a signed c x_{S + {i, j}}, and the products that vanish are skipped
+    before the echelon. Only the labels of the kept products leave the
+    chain, so the witness is the one the products of the forms name.
     """
     n = model.n
 
@@ -173,25 +248,15 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
         return none(0, "no nonzero closed 2-forms")
 
     half = n // 2
-    # the kept products spanning W_j, each with its multiset of basis indices
-    level: list[tuple[tuple[int, ...], Element]] = [((), model.algebra.one())]
-    for j in range(1, half + 1):
-        echelon = linalg.Echelon()
-        kept = []
-        for indices, w in level:
-            for i, omega in enumerate(omegas):
-                p = omega * w
-                if echelon.add(p.terms):
-                    kept.append((indices + (i,), p))
-        if not kept:
+    for j, labels in enumerate(_product_chain(omegas, half), 1):
+        if not labels:
             return none(
                 m,
                 f"every {j}-fold product of closed 2-forms vanishes, so "
                 f"omega^{half} = 0 for every closed 2-form omega",
             )
-        level = kept
 
-    a = level[0][0]
+    a = labels[0]
     for point in product(*(range(a.count(i) + 1) for i in range(m))):
         omega = model.algebra.zero()
         for w, omega_i in zip(point, omegas):

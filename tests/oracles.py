@@ -16,7 +16,9 @@ matrices, the forcing system assembled by evaluating the total-model
 derivation at every unit twisting matrix (no contraction formula), and a
 symplectic decision by the principal lattice: closed 2-forms from a dense
 naive kernel, tested for nondegeneracy by naive rank at every lattice
-point. The interior product of a 2-form is here as the literal formula
+point, and the W_j product chain of the symplectic decision formed by
+Element products, with independence decided by its own elimination. The
+interior product of a 2-form is here as the literal formula
 sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
 (a_ij); neither goes through exterior.contract.
 """
@@ -406,3 +408,41 @@ def symplectic_by_lattice(dga: FreeDGA, n: int):
         if rank_naive(A) == n:
             return point
     return None
+
+
+def product_chain_naive(omegas: list[Element], half: int) -> list[list[tuple[int, ...]]]:
+    """Labels of the kept products of W_1, ..., W_half, by Element products.
+
+    W_0 = span(1), and level j tries omega_i * w for each kept w of level
+    j - 1 and each basis form in turn, keeping a product when it is
+    independent of the ones kept before it at that level. A label lists the
+    basis index taken at each level. Every product goes through
+    Element.__mul__, the top level included, and independence is decided by
+    reducing against the kept products in the order they were kept, with
+    the smallest monomial key as pivot (no nilsplit.linalg). The list ends
+    after the first empty level.
+    """
+    labels = []
+    level = [((), omegas[0].algebra.one())]
+    for _ in range(half):
+        rows: list[tuple[tuple, dict]] = []  # (pivot key, row with 1 at its pivot)
+        kept = []
+        for label, w in level:
+            for i, omega in enumerate(omegas):
+                p = omega * w
+                v = dict(p.terms)
+                for pivot, row in rows:
+                    f = v.get(pivot)
+                    if f:
+                        for key, x in row.items():
+                            v[key] = v.get(key, ZERO) - f * x
+                        v = {key: x for key, x in v.items() if x}
+                if v:
+                    pivot = min(v)
+                    rows.append((pivot, {key: x / v[pivot] for key, x in v.items()}))
+                    kept.append((label + (i,), p))
+        labels.append([label for label, _ in kept])
+        if not kept:
+            break
+        level = kept
+    return labels

@@ -17,6 +17,7 @@ from oracles import (
     betti_vector_naive,
     closed_two_forms_naive,
     nullspace_naive,
+    product_chain_naive,
     skew_matrix,
     symplectic_by_lattice,
 )
@@ -32,7 +33,13 @@ from nilsplit.bundles import (
 )
 from nilsplit.cohomology import Cohomology, poincare_check
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
-from nilsplit.symplectic import SymplecticForm, find_symplectic, is_symplectic
+from nilsplit.symplectic import (
+    SymplecticForm,
+    _product_chain,
+    closed_two_form_basis,
+    find_symplectic,
+    is_symplectic,
+)
 
 F = Fraction
 
@@ -74,6 +81,50 @@ def permuted(spec: LieAlgebraSpec, sigma: list[int]) -> LieAlgebraSpec:
             a, b, c = b, a, -c
         brackets.append((a, b, sigma[k - 1], c))
     return LieAlgebraSpec(dim=spec.dim, brackets=tuple(sorted(brackets)))
+
+
+def sheared(spec: LieAlgebraSpec, rng: random.Random) -> LieAlgebraSpec:
+    """The same algebra in the basis Y_a = X_a + sum_{b > a} u_ab X_b.
+
+    The u_ab are seeded small integers, so the change of basis is
+    unipotent. [Y_a, Y_b] = sum v_k X_k is rewritten as sum w_c Y_c by
+    back substitution: v_k = w_k + sum_{c < k} u_ck w_c.
+    """
+    n = spec.dim
+    u = [[F(int(a == b)) for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            u[a][b] = F(rng.choice([-1, 0, 0, 1, 2]))
+    table = spec.bracket_table()
+
+    def bracket(i, j):  # [X_i, X_j] in X coordinates, 0-based
+        if i == j:
+            return {}
+        sign = 1 if i < j else -1
+        return {k - 1: sign * c for k, c in table.get((min(i, j) + 1, max(i, j) + 1), {}).items()}
+
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = [F(0)] * n
+            for i in range(n):
+                for j in range(n):
+                    if u[a][i] and u[b][j]:
+                        for k, c in bracket(i, j).items():
+                            v[k] += u[a][i] * u[b][j] * c
+            w = []
+            for k in range(n):
+                w.append(v[k] - sum(u[c][k] * w[c] for c in range(k)))
+            brackets += [(a + 1, b + 1, k + 1, c) for k, c in enumerate(w) if c]
+    return LieAlgebraSpec(dim=n, brackets=tuple(brackets))
+
+
+@pytest.fixture(scope="module")
+def dim8_pairs():
+    """Seeded dim-8 algebras next to a sheared copy of each."""
+    rng = random.Random(88)
+    specs = random_nilpotent_specs(seed=808, count=12, dims=(8,))
+    return [(spec, sheared(spec, rng)) for spec in specs]
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +186,50 @@ def test_invariant_under_basis_permutation(specs, corpus, searches):
             report = forcing_check(relabelled, again.form, sphere_base())
             assert report.forced_zero and report.solution_dimension == 0, (spec, sigma)
     assert moved > len(specs) // 2  # the permutations really change the tables
+
+
+def test_invariant_under_unipotent_change_of_basis(dim8_pairs):
+    """A sheared basis changes no Betti number, verdict or dim Z^2, and every
+    form found in either basis forces the twist to {0}."""
+    moved = 0
+    verdicts = set()
+    for spec, other in dim8_pairs:
+        moved += other != spec
+        assert validate(other).ok, other
+        model, relabelled = ce_model(spec), ce_model(other)
+        assert Cohomology(relabelled.dga).betti_vector(8) == Cohomology(model.dga).betti_vector(8)
+        res, again = find_symplectic(model), find_symplectic(relabelled)
+        assert (again.status, again.closed_dim) == (res.status, res.closed_dim), (spec, other)
+        verdicts.add(res.status)
+        for m, r in ((model, res), (relabelled, again)):
+            if r.found:
+                report = forcing_check(m, r.form, sphere_base())
+                assert report.forced_zero and report.solution_dimension == 0, m.algebra
+    assert verdicts == {"found", "definitively-none"}
+    assert moved == len(dim8_pairs)  # every shear really changes the table
+
+
+def test_product_chain_matches_element_product_oracle(catalog_models, corpus, dim8_pairs):
+    """The bit-set chain keeps, level by level, what the Element chain keeps.
+
+    Run on every even-dimensional algebra of the catalog, the corpus and the
+    sheared dim-8 algebras, whose Z^2 bases have forms of several terms,
+    some with fractional coefficients, so the signs of the bit-set products
+    and the integer scaling both matter.
+    """
+    models = [*catalog_models.values(), *corpus, *(ce_model(other) for _, other in dim8_pairs)]
+    multi = fractional = compared = 0
+    for model in models:
+        omegas = closed_two_form_basis(model)
+        if model.n % 2 or not omegas:
+            continue
+        half = model.n // 2
+        got = list(_product_chain(omegas, half))
+        assert got == product_chain_naive(omegas, half), model.algebra
+        compared += 1
+        multi += sum(len(w.terms) > 1 for w in omegas)
+        fractional += sum(any(c.denominator > 1 for c in w.terms.values()) for w in omegas)
+    assert compared >= 30 and multi >= 30 and fractional >= 3, (compared, multi, fractional)
 
 
 def test_cohomology_invariants(corpus):

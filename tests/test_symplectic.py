@@ -195,6 +195,52 @@ def test_find_symplectic_dim10_definitive_without_budget(spec):
     assert "5-fold product" in res.reason
 
 
+def _h3_plus_r(k: int) -> LieAlgebraSpec:
+    return LieAlgebraSpec(dim=3 + k, brackets=((1, 2, 3, F(1)),))
+
+
+_FOUND = "grid witness under a nonzero {}-fold product of closed 2-forms, certified"
+_NONE = (
+    "every {0}-fold product of closed 2-forms vanishes, "
+    "so omega^{0} = 0 for every closed 2-form omega"
+)
+
+PINNED_SEARCHES = {
+    "h3+R5": (_h3_plus_r(5), "found", 23, _FOUND.format(4), "x1*x3 + x2*x4 + x5*x6 + x7*x8"),
+    "h3h3+R2": (
+        LieAlgebraSpec(dim=8, brackets=((1, 2, 3, F(1)), (4, 5, 6, F(1)))),
+        "found", 19, _FOUND.format(4), "x1*x3 + x2*x4 + x5*x6 + x7*x8",
+    ),
+    "L8": (
+        LieAlgebraSpec(dim=8, brackets=tuple((1, i, i + 1, F(1)) for i in range(2, 8))),
+        "found", 10, _FOUND.format(4), "x1*x8 + x2*x7 - x3*x6 + x4*x5",
+    ),
+    "h3+R7": (
+        _h3_plus_r(7), "found", 38, _FOUND.format(5), "x1*x3 + x2*x4 + x5*x6 + x7*x8 + x9*x10",
+    ),
+    "h3+R9": (
+        _h3_plus_r(9), "found", 57, _FOUND.format(6),
+        "x1*x3 + x2*x4 + x5*x6 + x7*x8 + x9*x10 + x11*x12",
+    ),
+    "h5+h3": (
+        LieAlgebraSpec(dim=8, brackets=((1, 3, 5, F(1)), (2, 4, 5, F(1)), (6, 7, 8, F(1)))),
+        "definitively-none", 17, _NONE.format(4), "None",
+    ),
+    "h7+R": (_heisenberg_plus_r(3), "definitively-none", 21, _NONE.format(4), "None"),
+    "h9+R": (_heisenberg_plus_r(4), "definitively-none", 36, _NONE.format(5), "None"),
+    "h11+R": (_heisenberg_plus_r(5), "definitively-none", 55, _NONE.format(6), "None"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SEARCHES))
+def test_find_symplectic_pinned_at_dims_8_to_12(name):
+    """Status, dim Z^2, reason and witness, as the Element-product chain gave them."""
+    spec, status, closed_dim, reason, form = PINNED_SEARCHES[name]
+    res = find_symplectic(ce_model(spec))
+    got = (res.status, res.closed_dim, res.reason, str(res.form))
+    assert got == (status, closed_dim, reason, form)
+
+
 def test_lattice_points_count():
     pts = list(lattice_points(3, 2))
     assert len(pts) == 10  # C(3+2, 2)
