@@ -302,8 +302,8 @@ def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
     for k in range(1, cap + 1):
         if b[k] and b[k - 1]:
             target = fiber.basis(k - 1)
-            r[k] = linalg.rank(
-                [target.reduce(contract(z, theta)) for z in fiber.basis(k).representatives]
+            r[k] = target.rank_of(
+                contract(z, theta) for z in fiber.basis(k).representatives
             )
     return [
         b[k] - r[k] + (b[k - 2] - r[k - 1] if k >= 2 else 0) for k in range(cap + 1)

@@ -22,8 +22,6 @@ from . import linalg
 from .errors import DegreeCapError, StructuralError
 from .exterior import Element, FreeDGA
 
-ZERO = Fraction(0)
-
 
 class DegreeSlice:
     """Degree-k basis of a free DGA and the images of d on it.
@@ -60,9 +58,10 @@ class CohomologyBasis:
         self.representatives = [Element(alg, z) for z in echelon.kept[n_boundary:]]
         self.betti = len(self.representatives)
 
-    def reduce(self, u: Element) -> list[Fraction]:
-        """Coordinates of a degree-k cocycle in the chosen basis of H^k.
+    def reduce(self, u: Element) -> dict[int, Fraction]:
+        """Coordinates {i: c} of a degree-k cocycle over the representatives.
 
+        Sparse: i indexes `representatives` and absent coordinates are zero.
         The kept vectors, the images of d on C^{k-1} and then the cocycle
         basis, span exactly Z^k once d^2 = 0. So a non-cocycle, or a
         monomial of another degree, leaves a residual and is refused.
@@ -71,13 +70,31 @@ class CohomologyBasis:
         if rest:
             raise StructuralError(f"not a cocycle of degree {self.degree}")
         first = self._n_boundary
-        return [combination.get(first + i, ZERO) for i in range(self.betti)]
+        return {q - first: c for q, c in sorted(combination.items()) if q >= first}
 
-    def class_element(self, coords) -> Element:
+    def rank_of(self, cocycles) -> int:
+        """Rank of the classes of degree-k cocycles, without their coordinates.
+
+        Each cocycle is eliminated once against [coboundaries | cocycle
+        basis]. Its factors over the reduced kept vectors at the
+        representative positions are its class coordinates under one
+        invertible triangular change (see linalg.Echelon.eliminate), so they
+        span a space of the same rank. A non-cocycle is refused as in reduce.
+        """
+        first = self._n_boundary
+        classes = linalg.Echelon()
+        for u in cocycles:
+            rest, factors = self._echelon.eliminate(u.terms)
+            if rest:
+                raise StructuralError(f"not a cocycle of degree {self.degree}")
+            classes.add({q: f for q, f in factors.items() if q >= first})
+        return len(classes.kept)
+
+    def class_element(self, coords: dict[int, Fraction]) -> Element:
+        """The cocycle sum c * representatives[i] over sparse coordinates."""
         out = self.slice.dga.algebra.zero()
-        for c, rep in zip(coords, self.representatives):
-            if c:
-                out = out + rep.scale(c)
+        for i, c in coords.items():
+            out = out + self.representatives[i].scale(c)
         return out
 
 
@@ -157,8 +174,9 @@ class Cohomology:
             self._bases[k] = CohomologyBasis(s, echelon, n_boundary)
         return self._bases[k]
 
-    def cup(self, p: int, coords_p, q: int, coords_q) -> list[Fraction]:
-        """Product of classes, reduced at degree p+q against its basis."""
+    def cup(self, p: int, coords_p, q: int, coords_q) -> dict[int, Fraction]:
+        """Product of classes given by sparse coordinates, reduced at degree
+        p+q against its basis to sparse coordinates."""
         if self.max_degree is not None and p + q > self.max_degree:
             raise DegreeCapError(
                 f"cup lands in degree {p + q}, beyond cap {self.max_degree}"

@@ -203,34 +203,42 @@ class GradedAlgebra:
 
         Finite for every k: odd generators contribute exponent <= 1 and even
         generators at most k / degree. Sorted by the flat key tuple, which
-        fixes the basis ordering used by every matrix downstream.
+        fixes the basis ordering used by every matrix downstream; the keys
+        come out in that order, since a key that takes generator i comes
+        before every key that skips it, smaller exponents first. A branch
+        stops once the remaining degree is more than the generators left
+        can add: the sum of their odd degrees, or no limit while an even
+        generator remains.
         """
         if k < 0:
             return []
         out: list[tuple] = []
         ngen = len(self.generators)
+        # reach[i]: the most degree generators i.. can add, capped at k
+        reach = [0] * (ngen + 1)
+        for i in range(ngen - 1, -1, -1):
+            reach[i] = min(k, reach[i + 1] + self.degrees[i]) if self.parity[i] else k
         key: list[int] = []
 
         def rec(i: int, remaining: int) -> None:
             if remaining == 0:
                 out.append(tuple(key))
                 return
-            if i == ngen:
+            if remaining > reach[i]:
                 return
-            rec(i + 1, remaining)
             d = self.degrees[i]
-            cap = 1 if self.parity[i] else remaining // d
+            cap = remaining // d
+            if self.parity[i]:
+                cap = min(cap, 1)
             for e in range(1, cap + 1):
-                if e * d > remaining:
-                    break
                 key.append(i)
                 key.append(e)
                 rec(i + 1, remaining - e * d)
                 key.pop()
                 key.pop()
+            rec(i + 1, remaining)
 
         rec(0, k)
-        out.sort()
         return out
 
     def __repr__(self):

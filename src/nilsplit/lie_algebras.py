@@ -149,19 +149,20 @@ def _validate(spec: LieAlgebraSpec, dga: FreeDGA) -> ValidationReport:
 
     # Lower central series by span ranks; a nilpotent algebra of dim n
     # reaches zero within n steps, so a stall above zero is conclusive.
+    # [g, g] is spanned by the nonzero rows of the table, [X_i, X_j], i < j.
     table = spec.bracket_table()
-    basis = [{i: ONE} for i in range(1, n + 1)]
-    current = basis
-    dims = [n]
-    for _ in range(n + 1):
+    echelon = linalg.Echelon()
+    for row in table.values():
+        echelon.add(row)
+    current = echelon.kept
+    dims = [n, len(current)]
+    while dims[-1] and dims[-1] != dims[-2]:
         echelon = linalg.Echelon()
-        for e in basis:
+        for i in range(1, n + 1):
             for w in current:
-                echelon.add(_bracket(table, e, w))
+                echelon.add(_bracket(table, {i: ONE}, w))
         current = echelon.kept
         dims.append(len(current))
-        if dims[-1] == 0 or dims[-1] == dims[-2]:
-            break
     nilpotent = dims[-1] == 0
     nilpotency_class = len(dims) - 1 if nilpotent else None
 

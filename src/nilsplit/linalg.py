@@ -5,10 +5,12 @@ absent indices are zero. `Echelon` keeps, in arrival order, the vectors
 that enlarge the span of those kept before them; `add` only says whether
 it kept a vector. A vector in the span has a unique combination of the
 kept ones, built only on request: `kernel` is the one reader of the
-combinations of dependent columns, and `residual` gives the combination
-of any vector. Which vectors are kept and those combinations depend only
-on the arrival order, never on how elimination proceeds, so the kernel
-bases, representatives and coordinates built on top are byte-stable.
+combinations of dependent columns, `residual` gives the combination
+of any vector, and `eliminate` gives its factors over the reduced kept
+vectors, which is all a rank needs. Which vectors are kept and those
+combinations depend only on the arrival order, never on how elimination
+proceeds, so the kernel bases, representatives and coordinates built on
+top are byte-stable.
 `kernel` takes sparse columns; `rank` is the one entry point for a dense
 matrix given as a list of rows.
 """
@@ -39,8 +41,15 @@ class Echelon:
         #                      {earlier kept position: factor cleared})
         self._steps: list[tuple[Fraction, dict[int, Fraction]]] = []
 
-    def _eliminate(self, vector: dict):
-        """(rest, factors): rest = vector - sum factors[q] * reduced[q]."""
+    def eliminate(self, vector: dict):
+        """(rest, factors): rest = vector - sum factors[q] * reduced[q].
+
+        reduced[q] is kept vector q reduced against the kept vectors before
+        it and scaled to pivot 1, so the reduced vectors are the kept ones
+        under an invertible lower triangular change: the factors at
+        positions >= s and the combination over the kept vectors at
+        positions >= s determine each other, for every s.
+        """
         rest = dict(vector)
         factors = {}
         pivots = self._pivots
@@ -91,7 +100,7 @@ class Echelon:
         rest is zero at every pivot; it is empty exactly when the vector
         lies in the span of the kept vectors.
         """
-        rest, factors = self._eliminate(vector)
+        rest, factors = self.eliminate(vector)
         return rest, self._combination(factors)
 
     def add(self, vector: dict) -> bool:
@@ -100,7 +109,7 @@ class Echelon:
         A dependent vector's combination over the kept vectors is not
         built; kernel() and residual() are the ways to ask for it.
         """
-        return self._keep(vector, *self._eliminate(vector))
+        return self._keep(vector, *self.eliminate(vector))
 
     def _keep(self, vector: dict, rest: dict, factors: dict[int, Fraction]) -> bool:
         """Keep the vector given its elimination, unless rest is empty."""
@@ -142,7 +151,7 @@ def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
     pivot_columns: list[int] = []
     basis = []
     for j, column in enumerate(columns):
-        rest, factors = echelon._eliminate(column)
+        rest, factors = echelon.eliminate(column)
         if echelon._keep(column, rest, factors):
             pivot_columns.append(j)
             continue

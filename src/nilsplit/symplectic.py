@@ -292,8 +292,11 @@ class LefschetzEntry:
 def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     """Rank of cup with [omega]^k : H^{n-k} -> H^{n+k} for 0 <= k <= n.
 
-    n is half the dimension. Exact ranks; an entry is an isomorphism when
-    the two Betti numbers agree and the cup matrix has full rank.
+    n is half the dimension. An entry is an isomorphism when the two Betti
+    numbers agree and the map has full rank. k = 0 is the identity on
+    H^n, of rank b_n, so the largest class basis is never built; every
+    other rank is counted exactly on the echelon of H^{n+k} (see
+    CohomologyBasis.rank_of).
     """
     if sf.model.algebra is not model.algebra:
         raise StructuralError("form and model live over different generator sets")
@@ -301,14 +304,24 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     half = model.n // 2
     if model.n % 2:
         raise StructuralError("hard Lefschetz needs an even-dimensional model")
-    entries = []
-    for k in range(half + 1):
+    b = coh.betti(half)
+    entries = [
+        LefschetzEntry(
+            k=0,
+            source_degree=half,
+            target_degree=half,
+            source_betti=b,
+            target_betti=b,
+            rank=b,
+            isomorphism=True,
+        )
+    ]
+    for k in range(1, half + 1):
         p, q = half - k, half + k
         omega_k = sf.omega.power(k)
         basis_p = coh.basis(p)
         basis_q = coh.basis(q)
-        cols = [basis_q.reduce(omega_k * rep) for rep in basis_p.representatives]
-        rk = linalg.rank(cols)
+        rk = basis_q.rank_of(omega_k * rep for rep in basis_p.representatives)
         entries.append(
             LefschetzEntry(
                 k=k,

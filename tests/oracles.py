@@ -20,7 +20,9 @@ point, and the W_j product chain of the symplectic decision formed by
 Element products, with independence decided by its own elimination. The
 interior product of a 2-form is here as the literal formula
 sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
-(a_ij); neither goes through exterior.contract.
+(a_ij); neither goes through exterior.contract. The hard Lefschetz ranks
+are here as ranks of dense stacks of coboundaries and omega^k times a
+naive cocycle basis, with no class basis.
 """
 
 from __future__ import annotations
@@ -446,3 +448,37 @@ def product_chain_naive(omegas: list[Element], half: int) -> list[list[tuple[int
             break
         level = kept
     return labels
+
+
+def lefschetz_ranks_naive(dga: FreeDGA, omega: Element, half: int) -> list[int]:
+    """Rank of [omega]^k : H^{half-k} -> H^{half+k} for k = 0..half, densely.
+
+    With B^q the image of d on C^{q-1} and Z^p from nullspace_naive of d on
+    C^p, the rank is rank_naive([B^q ; omega^k Z^p]) - rank_naive(B^q).
+    Matrices come from differential_matrix and the naive enumeration; no
+    class basis, echelon or nilsplit.linalg is read.
+    """
+    alg = dga.algebra
+    ranks = []
+    for k in range(half + 1):
+        p, q = half - k, half + k
+        d_p, dim_p = differential_matrix(dga, p)
+        source = monomials_naive(alg, p)
+        cocycles = [
+            Element(alg, {key: c for key, c in zip(source, v) if c})
+            for v in nullspace_naive(d_p, dim_p)
+        ]
+        d_q, _ = differential_matrix(dga, q - 1)
+        boundaries = [list(col) for col in zip(*d_q)]
+        index = {key: r for r, key in enumerate(monomials_naive(alg, q))}
+        omega_k = alg.one()
+        for _ in range(k):
+            omega_k = omega_k * omega
+        images = []
+        for z in cocycles:
+            row = [ZERO] * len(index)
+            for key, c in (omega_k * z).terms.items():
+                row[index[key]] = c
+            images.append(row)
+        ranks.append(rank_naive(boundaries + images) - rank_naive(boundaries))
+    return ranks

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -223,15 +225,36 @@ def test_derivation_even_block_before_odd_image():
 
 
 def test_monomials_of_degree_matches_naive_enumeration():
-    """The enumeration lists exactly the keys of every exponent vector."""
+    """The enumeration lists exactly the keys of every exponent vector.
+
+    The pruned branches are where no even generator is left, so the
+    algebras put an even generator first, last and between odd ones, and
+    the degrees run past what the odd generators alone can reach. On a
+    dim-20 exterior algebra, order and count are those of
+    itertools.combinations, up to degree 21.
+    """
     rng = random.Random(707)
-    algebras = [GradedAlgebra([(f"x{i}", 1) for i in range(10)])]
+    algebras = [
+        GradedAlgebra([(f"x{i}", 1) for i in range(10)]),
+        GradedAlgebra([("a", 2), ("x", 1), ("y", 3), ("z", 1)]),
+        GradedAlgebra([("x", 1), ("y", 3), ("z", 1), ("a", 2)]),
+        GradedAlgebra([("x", 1), ("y", 3), ("a", 2), ("z", 1), ("w", 5)]),
+        GradedAlgebra([("x", 3), ("a", 4), ("y", 1), ("b", 2), ("z", 3)]),
+        GradedAlgebra([("x", 1), ("y", 3), ("z", 5)]),
+    ]
     for _ in range(60):
         n = rng.randint(0, 7)
         algebras.append(GradedAlgebra([(f"g{i}", rng.randint(1, 4)) for i in range(n)]))
     for alg in algebras:
-        for k in range(-1, 11):
-            assert alg.monomials_of_degree(k) == monomials_naive(alg, k)
+        odd_reach = sum(d for d in alg.degrees if d % 2)
+        for k in range(-1, max(11, odd_reach + 4)):
+            assert alg.monomials_of_degree(k) == monomials_naive(alg, k), (alg, k)
+    alg = GradedAlgebra([(f"x{i}", 1) for i in range(20)])
+    for k in (0, 1, 2, 5, 15, 18, 19, 20, 21):
+        want = [tuple(x for i in c for x in (i, 1)) for c in combinations(range(20), k)]
+        got = alg.monomials_of_degree(k)
+        assert got == want, k
+        assert len(got) == comb(20, k), k
 
 
 def test_contract_is_a_degree_minus_one_derivation(mixed):

@@ -16,6 +16,7 @@ from oracles import (
     alphas_by_unit_alpha,
     betti_vector_naive,
     closed_two_forms_naive,
+    lefschetz_ranks_naive,
     nullspace_naive,
     product_chain_naive,
     skew_matrix,
@@ -38,6 +39,7 @@ from nilsplit.symplectic import (
     _product_chain,
     closed_two_form_basis,
     find_symplectic,
+    hard_lefschetz,
     is_symplectic,
 )
 
@@ -230,6 +232,33 @@ def test_product_chain_matches_element_product_oracle(catalog_models, corpus, di
         multi += sum(len(w.terms) > 1 for w in omegas)
         fractional += sum(any(c.denominator > 1 for c in w.terms.values()) for w in omegas)
     assert compared >= 30 and multi >= 30 and fractional >= 3, (compared, multi, fractional)
+
+
+def test_hard_lefschetz_matches_dense_oracle(
+    catalog_models, symplectic_forms, corpus, searches, dim8_pairs
+):
+    """Every hard Lefschetz rank equals the dense oracle's, k = 0 included.
+
+    Forms: every catalog symplectic form, and the forms found on the
+    corpus and on the dim-8 algebras. The oracle ranks omega^k Z^p modulo
+    B^q by dense elimination, with no class basis.
+    """
+    cases = [(catalog_models[name], sf) for name, sf in symplectic_forms.items()]
+    cases += [(model, res.form) for model, res in zip(corpus, searches) if res.found]
+    for spec, _ in dim8_pairs:
+        model = ce_model(spec)
+        res = find_symplectic(model)
+        if res.found:
+            cases.append((model, res.form))
+    dims = [model.n for model, _ in cases]
+    defects = 0
+    for model, sf in cases:
+        entries = hard_lefschetz(model, sf)
+        want = lefschetz_ranks_naive(model.dga, sf.omega, model.n // 2)
+        assert [e.rank for e in entries] == want, (model.algebra, sf)
+        defects += sum(e.rank < e.source_betti for e in entries)
+    assert 8 in dims and 6 in dims and len(cases) >= 15, dims
+    assert defects >= 10  # most of these forms fail hard Lefschetz somewhere
 
 
 def test_cohomology_invariants(corpus):

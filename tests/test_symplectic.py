@@ -298,8 +298,7 @@ def test_top_power_nonzero_for_certified_forms(catalog_models, symplectic_forms)
         assert not top.is_zero(), name
         # and the class survives in H^top: reduce against the top basis
         coh = Cohomology(model.dga)
-        coords = coh.basis(model.n).reduce(top)
-        assert any(c != 0 for c in coords), name
+        assert coh.basis(model.n).reduce(top), name
 
 
 def test_contraction_vanishes_only_at_zero(catalog_models, symplectic_forms):
@@ -342,7 +341,7 @@ def test_hard_lefschetz_rank_against_naive_oracle(symplectic_forms):
     coh = Cohomology(sf.model.dga)
     b1, b3 = coh.basis(1), coh.basis(3)
     cols = [b3.reduce(sf.omega * rep) for rep in b1.representatives]
-    rows = [list(r) for r in zip(*cols)]
+    rows = [[col.get(i, F(0)) for col in cols] for i in range(b3.betti)]
     assert rank_naive(rows) == 2
 
 
