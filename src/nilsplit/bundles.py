@@ -48,7 +48,6 @@ from . import linalg
 from .cohomology import Cohomology
 from .errors import StructuralError, TwistIncompatibleError
 from .exterior import (
-    AlgebraMorphism,
     Derivation,
     Element,
     FreeDGA,
@@ -108,9 +107,31 @@ def normalize_alpha(alpha, n_fiber: int, m: int) -> tuple[tuple[Fraction, ...], 
     return tuple(rows)
 
 
+def _relabel(u: Element, target: GradedAlgebra, index_map) -> Element:
+    """u with generator i sent to generator index_map[i] of target, or to 0 for None.
+
+    This is the algebra map with those generator images when the indices
+    kept (not None) increase and keep their degrees: each key then stays in
+    normal form, keys stay distinct, and no Koszul sign arises.
+    """
+    terms = {}
+    for key, c in u.terms.items():
+        out = []
+        for p in range(0, len(key), 2):
+            i = index_map[key[p]]
+            if i is None:
+                break
+            out += (i, key[p + 1])
+        else:
+            terms[tuple(out)] = c
+    return Element(target, terms)
+
+
 class TwistedModel:
     """Base tensor fiber with twisting matrix alpha; see the module docstring.
 
+    The total algebra lists the base generators, then the fiber ones, so
+    base and fiber elements enter it by relabelling generator indices.
     The constructor only builds the model and makes no D^2 = 0 promise;
     csplit_compare() checks it for a nonzero twist, and build_twisted() is
     the constructor that checks it up front.
@@ -127,29 +148,27 @@ class TwistedModel:
         if overlap:
             raise StructuralError(f"generator name collision: {sorted(overlap)}")
         total_alg = GradedAlgebra(base_gens + fiber_gens)
-
-        self.include_base = AlgebraMorphism(
-            base.dga.algebra,
-            total_alg,
-            {name: total_alg.gen(name) for name, _ in base_gens},
-        )
-        self.include_fiber = AlgebraMorphism(
-            fiber.algebra,
-            total_alg,
-            {name: total_alg.gen(name) for name, _ in fiber_gens},
-        )
+        self._fiber_index = range(len(base_gens), len(total_alg.generators))
 
         images: dict[str, Element] = {}
         for name, _ in base_gens:
-            images[name] = self.include_base(base.dga.d.image_of_generator(name))
+            dg = base.dga.d.image_of_generator(name)
+            images[name] = _relabel(dg, total_alg, range(len(base_gens)))
         for k, (name, _) in enumerate(fiber_gens):
-            img = self.include_fiber(fiber.d.image_of_generator(name))
+            dx = fiber.d.image_of_generator(name)
+            img = _relabel(dx, total_alg, self._fiber_index)
             for j, twist_name in enumerate(base.twist_gen_names):
                 c = self.alpha[k][j]
                 if c:
                     img = img + total_alg.gen(twist_name).scale(c)
             images[name] = img
         self.total = FreeDGA(total_alg, Derivation(total_alg, images))
+
+    def include_fiber(self, u: Element) -> Element:
+        """u under the inclusion of the fiber algebra into the total one."""
+        if u.algebra is not self.fiber.algebra:
+            raise StructuralError("element lives outside the fiber algebra")
+        return _relabel(u, self.total.algebra, self._fiber_index)
 
     def alpha_is_zero(self) -> bool:
         return all(not c for row in self.alpha for c in row)
@@ -203,29 +222,34 @@ def _solve_alphas(fiber: CEModel, m: int, omega: Element | None):
     """Basis of the alphas with D^2 = 0 and, given a closed omega, D(omega) = 0.
 
     The conditions theta_j(d x_i) = 0 and theta_j(omega) = 0 are linear in
-    alpha. The sparse column of alpha_kj holds the contraction
-    iota_{e_k}(d x_i) at the rows (j, i, monomial) and iota_{e_k}(omega) at
-    the rows (j, n, monomial). Columns come in the order k * m + j of the
-    flattened alpha, and the kernel is in reduced echelon normal form.
+    alpha, and the one for base generator j reads only column j of alpha,
+    always through the same map. So the system is solved once: column k
+    holds the contraction iota_{e_k}(d x_i) at the rows (i, monomial) and
+    iota_{e_k}(omega) at the rows (n, monomial). Each kernel vector v gives
+    m basis alphas, the one whose column j is v for each j. Ordered by free
+    column k, then j, this is the reduced echelon kernel of the whole
+    system with alpha_kj in column k * m + j.
     """
     n = fiber.n
     conditions = [fiber.d.image_of_generator(g.name) for g in fiber.algebra.generators]
     if omega is not None:
         conditions.append(omega)
-    columns = []
-    for k in range(n):
-        unit = {k: ONE}
-        block = {
+    columns = [
+        {
             (i, key): c
             for i, u in enumerate(conditions)
-            for key, c in contract(u, unit).terms.items()
+            for key, c in contract(u, {k: ONE}).terms.items()
         }
-        for j in range(m):
-            columns.append({(j, i, key): c for (i, key), c in block.items()})
+        for k in range(n)
+    ]
     _, kernel = linalg.kernel(columns)
     return [
-        tuple(tuple(v.get(k * m + j, ZERO) for j in range(m)) for k in range(n))
+        tuple(
+            tuple(v.get(k, ZERO) if j == col else ZERO for j in range(m))
+            for k in range(n)
+        )
         for v in kernel
+        for col in range(m)
     ]
 
 
@@ -281,11 +305,6 @@ def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> Forcin
 def flat_alpha_space(fiber: CEModel, base: BaseModel):
     """Basis of the alphas with D^2 = 0 (no Hamiltonian condition)."""
     return _solve_alphas(fiber, base.m, None)
-
-
-def total_betti(tm: TwistedModel, cap: int | None = None) -> list[int]:
-    """Betti numbers of the total space through degree cap (csplit_compare.total)."""
-    return list(csplit_compare(tm, cap).total)
 
 
 def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
@@ -376,20 +395,24 @@ def pullback_column(tm: TwistedModel, i: int) -> TwistedModel:
     return build_twisted(tm.fiber, sphere_base(), column)
 
 
+def _pullback_index(tm: TwistedModel, sub: TwistedModel, i: int) -> list:
+    """Index map of the pullback to sub = pullback_column(tm, i).
+
+    a_i goes to a (index 0 of sub), every other a_j to 0, and each fiber
+    generator to itself.
+    """
+    index_map = [0 if j == i else None for j in range(1, tm.base.m + 1)]
+    return index_map + list(sub._fiber_index)
+
+
 def pullback_commutes(tm: TwistedModel, i: int) -> bool:
     """Check f*(D~ g) == D(f* g) on every generator, symbolically."""
     sub = pullback_column(tm, i)
-    images = {}
-    for j, name in enumerate(tm.base.twist_gen_names, start=1):
-        images[name] = (
-            sub.total.algebra.gen("a") if j == i else sub.total.algebra.zero()
-        )
-    for g in tm.fiber.algebra.generators:
-        images[g.name] = sub.total.algebra.gen(g.name)
-    f = AlgebraMorphism(tm.total.algebra, sub.total.algebra, images)
+    index_map = _pullback_index(tm, sub, i)
+    target = sub.total.algebra
     for g in tm.total.algebra.generators:
-        lhs = f(tm.total.d.image_of_generator(g.name))
-        rhs = sub.total.d(f(tm.total.algebra.gen(g.name)))
+        lhs = _relabel(tm.total.d.image_of_generator(g.name), target, index_map)
+        rhs = sub.total.d(_relabel(tm.total.algebra.gen(g.name), target, index_map))
         if lhs != rhs:
             return False
     return True

@@ -519,44 +519,3 @@ class FreeDGA:
     def __repr__(self):
         return f"FreeDGA({self.algebra!r})"
 
-
-class AlgebraMorphism:
-    """Degree-preserving algebra map determined by generator images.
-
-    Extended multiplicatively; target-side products handle all Koszul
-    signs, so images only need to be homogeneous of the source degree.
-    """
-
-    def __init__(
-        self,
-        source: GradedAlgebra,
-        target: GradedAlgebra,
-        images: Mapping[str, Element],
-    ):
-        self.source = source
-        self.target = target
-        self._images: dict[int, Element] = {}
-        for g in source.generators:
-            if g.name not in images:
-                raise StructuralError(f"no image given for generator {g.name!r}")
-            img = images[g.name]
-            if img.algebra is not target:
-                raise StructuralError("image lives outside the target algebra")
-            if not img.is_zero() and img.degree() != g.degree:
-                raise StructuralError(
-                    f"image of {g.name!r} must have degree {g.degree}"
-                )
-            self._images[g.index] = img
-
-    def __call__(self, u: Element) -> Element:
-        if u.algebra is not self.source:
-            raise StructuralError("element lives outside the source algebra")
-        result = self.target.zero()
-        for key, c in u.terms.items():
-            term = self.target.one()
-            for p in range(0, len(key), 2):
-                img = self._images[key[p]]
-                for _ in range(key[p + 1]):
-                    term = term * img
-            result = result + term.scale(c)
-        return result

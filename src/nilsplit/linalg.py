@@ -10,9 +10,8 @@ of any vector, and `eliminate` gives its factors over the reduced kept
 vectors, which is all a rank needs. Which vectors are kept and those
 combinations depend only on the arrival order, never on how elimination
 proceeds, so the kernel bases, representatives and coordinates built on
-top are byte-stable.
-`kernel` takes sparse columns; `rank` is the one entry point for a dense
-matrix given as a list of rows.
+top are byte-stable. A rank is the number of vectors an `Echelon` keeps;
+`kernel` takes sparse columns.
 """
 
 from __future__ import annotations
@@ -121,18 +120,6 @@ class Echelon:
         self._steps.append((inv, factors))
         self.kept.append(vector)
         return True
-
-
-def _sparse(values) -> dict[int, Fraction]:
-    return {i: x for i, x in enumerate(values) if x}
-
-
-def rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a dense matrix given as a list of rows."""
-    echelon = Echelon()
-    for row in rows:
-        echelon.add(_sparse(row))
-    return len(echelon.kept)
 
 
 def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:

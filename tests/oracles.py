@@ -11,13 +11,15 @@ disagree on is a bug.
 
 Also here: a dense validation of structure constants (Jacobi on every
 basis triple, lower central series by naive ranks), a brute-force Koszul
-sign (explicit word sorting), a grid enumerator for admissible twisting
-matrices, the forcing system assembled by evaluating the total-model
-derivation at every unit twisting matrix (no contraction formula), and a
-symplectic decision by the principal lattice: closed 2-forms from a dense
-naive kernel, tested for nondegeneracy by naive rank at every lattice
-point, and the W_j product chain of the symplectic decision formed by
-Element products, with independence decided by its own elimination. The
+sign (explicit word sorting), maps between models by literal substitution
+of generator images (Element products, no index relabelling), a grid
+enumerator for admissible twisting matrices, the forcing system assembled
+by evaluating the total-model derivation at every unit twisting matrix (no
+contraction formula), and a symplectic decision by the principal lattice:
+closed 2-forms from a dense naive kernel, tested for nondegeneracy by
+naive rank at every lattice point, and the W_j product chain of the
+symplectic decision formed by Element products, with independence decided
+by its own elimination. The
 interior product of a 2-form is here as the literal formula
 sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
 (a_ij); neither goes through exterior.contract. The hard Lefschetz ranks
@@ -230,11 +232,35 @@ def koszul_sign_by_sorting(key_a, key_b, parity):
     return sign, tuple(merged)
 
 
+def substitute(u: Element, images: dict) -> Element:
+    """The algebra map with generator images images[name], factor by factor.
+
+    Each monomial becomes the Element product of the images of its factors,
+    left to right, so every Koszul sign comes from Element.__mul__; no
+    generator index of the target is computed.
+    """
+    target = next(iter(images.values())).algebra
+    result = target.zero()
+    for key, c in u.terms.items():
+        term = target.one()
+        for p in range(0, len(key), 2):
+            img = images[u.algebra.generators[key[p]].name]
+            for _ in range(key[p + 1]):
+                term = term * img
+        result = result + term.scale(c)
+    return result
+
+
+def include_by_name(u: Element, target) -> Element:
+    """u in a larger algebra that has each of u's generators under its name."""
+    return substitute(u, {g.name: target.gen(g.name) for g in u.algebra.generators})
+
+
 def admissible_alphas_by_grid(fiber, base: BaseModel, omega_fiber: Element, values):
     """All alpha matrices over the value grid with D^2 = 0 and D(omega) = 0.
 
     Direct evaluation, no linear algebra: builds each model unchecked and
-    applies the actual derivation twice.
+    applies the actual derivation twice, to omega included by name.
     """
     n, m = fiber.n, base.m
     hits = []
@@ -245,7 +271,7 @@ def admissible_alphas_by_grid(fiber, base: BaseModel, omega_fiber: Element, valu
         tm = TwistedModel(base, fiber, alpha)
         if tm.total.flatness_witness() is not None:
             continue
-        if not tm.total.d(tm.include_fiber(omega_fiber)).is_zero():
+        if not tm.total.d(include_by_name(omega_fiber, tm.total.algebra)).is_zero():
             continue
         hits.append(alpha)
     return hits
@@ -287,7 +313,7 @@ def constraint_columns_by_unit_alpha(fiber, base: BaseModel, omega: Element | No
                 for key, c in dd.terms.items():
                     col[g_i * block + index3[key]] = c
             if omega is not None:
-                d_omega = tm.total.d(tm.include_fiber(omega))
+                d_omega = tm.total.d(include_by_name(omega, tm.total.algebra))
                 off = len(gen_names) * block
                 for key, c in d_omega.terms.items():
                     col[off + index3[key]] = c
