@@ -53,12 +53,13 @@ from .exterior import (
     FreeDGA,
     GradedAlgebra,
     contract,
+    exact,
 )
 from .lie_algebras import CEModel
 from .symplectic import SymplecticForm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def formal_even_base(m: int) -> BaseModel:
 
 
 def normalize_alpha(alpha, n_fiber: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    rows = [tuple(Fraction(v) for v in row) for row in alpha]
+    rows = [tuple(exact(v) for v in row) for row in alpha]
     if len(rows) != n_fiber or any(len(r) != m for r in rows):
         raise StructuralError(
             f"alpha must be {n_fiber} x {m}; got {len(rows)} rows "

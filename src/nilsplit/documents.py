@@ -9,11 +9,11 @@ A document is a single JSON object:
       "omega": [{"i": 1, "j": 4, "c": "1"}, {"i": 2, "j": 3, "c": "1"}]
     }
 
-Rationals are strings ("3", "-1/2"): exactness forbids float literals, and
-a string keeps every parser honest. Unknown fields anywhere are rejected;
-indices are 1-based with i < j. "omega" is optional and names a candidate
-symplectic form. Emission is canonical, so emit(parse(emit(d))) is
-byte-identical to emit(d).
+Rationals are strings ("3", "-1/2") of ASCII digits and nothing else:
+exactness forbids float literals, and a string keeps every parser honest.
+Unknown fields anywhere are rejected; indices are 1-based with i < j.
+"omega" is optional and names a candidate symplectic form. Emission is
+canonical, so emit(parse(emit(d))) is byte-identical to emit(d).
 """
 
 from __future__ import annotations
@@ -27,18 +27,22 @@ from fractions import Fraction
 from .errors import DocumentError
 from .lie_algebras import LieAlgebraSpec
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only, and the whole string: re's \d takes any Unicode digit
+# and $ matches before a final newline
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"{where}: rationals must be strings, got {text!r}")
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise DocumentError(f"{where}: not a rational literal: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise DocumentError(f"{where}: zero denominator in rational {text!r}") from None
+    except ValueError:  # past the interpreter's integer digit limit
+        raise DocumentError(f"{where}: rational literal has too many digits") from None
 
 
 def format_rational(c: Fraction) -> str:
@@ -107,6 +111,8 @@ def parse_document(text: str) -> AlgebraDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise DocumentError("not valid JSON: an integer has too many digits") from None
     if not isinstance(raw, dict):
         raise DocumentError("top level must be a JSON object")
     unknown = set(raw) - {"name", "dim", "brackets", "omega"}

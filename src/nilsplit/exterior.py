@@ -5,7 +5,8 @@ order is the global monomial ordering and never changes after the algebra
 is constructed. A monomial is a flat tuple (i0, e0, i1, e1, ...) in normal
 form: indices strictly ascending, exponents positive, and exponent <= 1
 for odd-degree generators since odd squares vanish. An Element maps
-monomial keys to nonzero Fractions; inhomogeneous elements are allowed and
+monomial keys to nonzero exact rationals, an int when integral and a
+Fraction otherwise (see exact); inhomogeneous elements are allowed and
 list their degrees. Products merge monomial keys with their Koszul signs
 in merge_monomials, the inner loop of every product downstream.
 
@@ -29,8 +30,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import StructuralError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 def merge_monomials(key_a, key_b, parity):
@@ -111,13 +112,20 @@ class Generator(NamedTuple):
     index: int
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def exact(c) -> int | Fraction:
+    """c as an exact rational: an int when integral, else a Fraction.
+
+    bool and int give an int (True is 1), a Fraction with denominator 1 its
+    numerator, and a str is parsed first. int and Fraction compare, hash and
+    print alike, and int arithmetic takes no gcd, so integral coefficients
+    stay ints until a division needs a Fraction.
+    """
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise StructuralError(f"not an exact rational: {c!r}")
 
 
@@ -150,7 +158,7 @@ class GradedAlgebra:
         return Element(self, {(): ONE})
 
     def scalar(self, c) -> Element:
-        c = _as_fraction(c)
+        c = exact(c)
         return Element(self, {(): c} if c else {})
 
     def gen(self, name: str) -> Element:
@@ -163,7 +171,7 @@ class GradedAlgebra:
         """Build an element from a monomial-key -> coefficient mapping."""
         acc = {}
         for key, c in terms.items():
-            c = _as_fraction(c)
+            c = exact(c)
             if not c:
                 continue
             self._check_key(key)
@@ -304,7 +312,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c) -> Element:
-        c = _as_fraction(c)
+        c = exact(c)
         if not c:
             return Element(self.algebra, {})
         return Element(self.algebra, {k: c * v for k, v in self.terms.items()})

@@ -20,8 +20,8 @@ checked once, as d^2 = 0 on the generators, and its failures are read off
 those terms.
 
 The lower central series works on sparse vectors, maps {k: c} from a
-1-based basis index to a nonzero Fraction, as in nilsplit.linalg, and is
-spanned with linalg.Echelon.
+1-based basis index to a nonzero exact rational, as in nilsplit.linalg,
+and is spanned with linalg.Echelon.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InvalidLieAlgebraError, StructuralError
-from .exterior import Derivation, Element, FreeDGA, GradedAlgebra
+from .exterior import Derivation, Element, FreeDGA, GradedAlgebra, exact
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class LieAlgebraSpec:
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i, j, k, c in self.brackets:
             if c:
-                table.setdefault((i, j), {})[k] = c
+                table.setdefault((i, j), {})[k] = exact(c)
         return table
 
 
@@ -216,7 +216,7 @@ def ce_dga(spec: LieAlgebraSpec) -> FreeDGA:
         for i, j, k2, c in spec.brackets:
             if k2 == k and c:
                 key = (i - 1, 1, j - 1, 1)
-                terms[key] = terms.get(key, ZERO) - c
+                terms[key] = terms.get(key, ZERO) - exact(c)
         images[f"x{k}"] = algebra.element(terms)
     return FreeDGA(algebra, Derivation(algebra, images))
 

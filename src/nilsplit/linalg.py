@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals: one sparse echelon engine.
 
-A vector is a dict from a totally ordered index to a nonzero Fraction;
-absent indices are zero. `Echelon` keeps, in arrival order, the vectors
-that enlarge the span of those kept before them; `add` only says whether
-it kept a vector. A vector in the span has a unique combination of the
-kept ones, built only on request: `kernel` is the one reader of the
-combinations of dependent columns, `residual` gives the combination
-of any vector, and `eliminate` gives its factors over the reduced kept
-vectors, which is all a rank needs. Which vectors are kept and those
-combinations depend only on the arrival order, never on how elimination
-proceeds, so the kernel bases, representatives and coordinates built on
-top are byte-stable. A rank is the number of vectors an `Echelon` keeps;
-`kernel` takes sparse columns.
+A vector is a dict from a totally ordered index to a nonzero exact
+rational: an int when integral, else a Fraction (exterior.exact); absent
+indices are zero. The one division is a pivot's inverse, so integral
+input stays in ints while the pivots it meets are +-1. `Echelon` keeps,
+in arrival order, the vectors that enlarge the span of those kept before
+them; `add` only says whether it kept a vector. A vector in the span has
+a unique combination of the kept ones, built only on request: `kernel`
+is the one reader of the combinations of dependent columns, `residual`
+gives the combination of any vector, and `eliminate` gives its factors
+over the reduced kept vectors, which is all a rank needs. Which vectors
+are kept and those combinations depend only on the arrival order, never
+on how elimination proceeds, so the kernel bases, representatives and
+coordinates built on top are byte-stable. A rank is the number of vectors
+an `Echelon` keeps; `kernel` takes sparse columns.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .exterior import exact
+
+ZERO = 0
+ONE = 1
 
 
 class Echelon:
@@ -115,8 +119,11 @@ class Echelon:
         if not rest:
             return False
         p = min(rest)
-        inv = ONE / rest.pop(p)
-        self._pivots[p] = (len(self.kept), {i: x * inv for i, x in rest.items()})
+        x = rest.pop(p)
+        # +-1 is its own inverse; never int / int, which is a float
+        inv = int(x) if x in (1, -1) else exact(Fraction(1) / x)
+        tail = {i: exact(y * inv) for i, y in rest.items()}
+        self._pivots[p] = (len(self.kept), tail)
         self._steps.append((inv, factors))
         self.kept.append(vector)
         return True

@@ -35,7 +35,7 @@ from .errors import StructuralError
 from .exterior import Element
 from .lie_algebras import CEModel
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Document grammar strictness, catalog round-trips, CLI exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,9 +38,60 @@ def test_rational_grammar():
     assert parse_rational("-1/2", "x") == F(-1, 2)
     assert parse_rational("3", "x") == F(3)
     assert parse_rational("+7/21", "x") == F(1, 3)
-    for bad in ("1/0", "0.5", "a", "1 / 2", "", "--3", "1/-2"):
+    # the whole string in ASCII digits: no final newline, no Arabic-Indic digits
+    for bad in ("1/0", "0.5", "a", "1 / 2", "", "--3", "1/-2", "1\n", "\u0661", "1/\u0662"):
         with pytest.raises(DocumentError):
             parse_rational(bad, "x")
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default 4300-digit limit on int(str), for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+TOO_LONG = "1" + "0" * 4999
+LITERALS = {"newline": "1\n", "arabic-indic": "\u0661", "5000-digits": TOO_LONG}
+# --alpha strips whitespace around its entries, so a newline is not malformed there
+MALFORMED = [
+    pytest.param(where, LITERALS[name], id=f"{where}-{name}")
+    for where in ("brackets", "omega", "alpha")
+    for name in LITERALS
+    if (where, name) != ("alpha", "newline")
+]
+
+
+@pytest.mark.parametrize(("where", "bad"), MALFORMED)
+def test_cli_refuses_malformed_literals(tmp_path, capsys, digit_limit, where, bad):
+    """A non-ASCII digit, a trailing newline or a literal past the digit limit
+    is a refusal with exit 2, never a traceback or a silent 1."""
+    if where == "alpha":
+        argv = ["csplit", "torus2", "--alpha", f"{bad},0"]
+    else:
+        obj = json.loads(GOOD)
+        obj[where][0]["c"] = bad
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(obj))
+        argv = ["validate", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, (where, bad[:8])
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if bad == TOO_LONG:
+        assert "too many digits" in err
+
+
+def test_cli_refuses_a_json_integer_past_the_digit_limit(tmp_path, capsys, digit_limit):
+    path = tmp_path / "doc.json"
+    path.write_text(GOOD.replace('"dim": 4', '"dim": ' + TOO_LONG))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: not valid JSON: an integer has too many digits\n"
 
 
 @pytest.mark.parametrize(

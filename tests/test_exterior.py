@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilsplit.bundles import TwistedModel, formal_even_base, sphere_base
+from nilsplit.bundles import TwistedModel, formal_even_base, normalize_alpha, sphere_base
 from nilsplit.errors import StructuralError
-from nilsplit.exterior import Derivation, Element, FreeDGA, GradedAlgebra, contract
+from nilsplit.exterior import (
+    Derivation,
+    Element,
+    FreeDGA,
+    GradedAlgebra,
+    contract,
+    exact,
+)
+from nilsplit.lie_algebras import LieAlgebraSpec, ce_dga
 from oracles import d_of_monomial_naive, monomials_naive
 
 
@@ -73,6 +81,42 @@ def test_normal_form_idempotence(mixed):
     again = mixed.element(dict(u.terms))
     assert again == u
     assert all(c != 0 for c in u.terms.values())
+
+
+def test_coefficients_enter_as_int_when_integral(odd4):
+    """exact() is the one door: an integral coefficient becomes an int, True is
+    1, any other rational stays a Fraction, and floats are refused."""
+    x1 = odd4.gen("x1")
+    key = (0, 1)
+    for c, want in ((True, 1), (False, 0), (Fraction(4, 2), 2), (-3, -3), ("6/3", 2)):
+        assert type(exact(c)) is int and exact(c) == want, c
+    assert exact(Fraction(1, 2)) == Fraction(1, 2) and type(exact("-1/2")) is Fraction
+    for bad in (0.5, 1.0, None):
+        with pytest.raises(StructuralError):
+            exact(bad)
+
+    assert odd4.element({key: True}) == x1 == x1.scale(True) == True * x1
+    assert odd4.element({key: False}).is_zero() and x1.scale(False).is_zero()
+    built = [
+        odd4.element({key: True, (1, 1): Fraction(-6, 3)}),
+        x1.scale(Fraction(2, 1)),
+        x1 * Fraction(5, 5),
+        odd4.scalar(Fraction(8, 4)),
+        odd4.one(),
+        x1,
+    ]
+    for u in built:
+        assert all(type(c) is int for c in u.terms.values()), u.terms
+    assert type(x1.scale(Fraction(1, 3)).terms[key]) is Fraction
+
+    spec = LieAlgebraSpec(dim=3, brackets=((1, 2, 3, Fraction(2, 1)), (1, 3, 2, Fraction(0))))
+    assert spec.bracket_table() == {(1, 2): {3: 2}}
+    assert type(spec.bracket_table()[(1, 2)][3]) is int
+    dx3 = ce_dga(spec).d.image_of_generator("x3")
+    assert dx3.terms == {(0, 1, 1, 1): -2} and type(dx3.terms[(0, 1, 1, 1)]) is int
+    alpha = normalize_alpha([[Fraction(3, 1), True], [Fraction(1, 2), "0"]], 2, 2)
+    assert alpha == ((3, 1), (Fraction(1, 2), 0))
+    assert [type(c) for row in alpha for c in row] == [int, int, Fraction, int]
 
 
 def test_element_str_is_sorted_and_stable(mixed):

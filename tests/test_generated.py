@@ -260,6 +260,57 @@ def test_hard_lefschetz_matches_dense_oracle(
     assert defects >= 10  # most of these forms fail hard Lefschetz somewhere
 
 
+def _assert_exact(values, where, integral_as_int=False):
+    """Each value is exactly an int or a Fraction: never a float or a bool.
+
+    With integral_as_int, an integral value must be an int: what exterior.exact
+    makes of every coefficient it admits.
+    """
+    for c in values:
+        assert type(c) is int or type(c) is Fraction, (where, c, type(c))
+        if integral_as_int:
+            assert type(c) is int or c.denominator > 1, (where, c)
+
+
+def test_coefficients_are_exact_ints_or_fractions(catalog_models, corpus, dim8_pairs):
+    """Every coefficient the engine hands out is an int or a Fraction.
+
+    Checked on the catalog, the corpus and the sheared dim-8 algebras: the d
+    of every monomial, every cocycle and representative and the class
+    coordinates of every cocycle, the kernel witness of a degenerate closed
+    form and the basis alphas it leaves to the forcing system. The constants
+    are integers, so d divides nowhere and all of its coefficients are ints;
+    the sheared bases meet pivots other than +-1, so Fractions appear too.
+    """
+    models = [*catalog_models.values(), *corpus, *(ce_model(other) for _, other in dim8_pairs)]
+    seen = set()
+    for model in models:
+        where = model.algebra
+        for row in model.spec.bracket_table().values():
+            _assert_exact(row.values(), (where, "bracket"), integral_as_int=True)
+        coh = Cohomology(model.dga)
+        for k in range(model.n + 1):
+            for image in coh.slice(k).images:
+                _assert_exact(image.values(), (where, "d", k), integral_as_int=True)
+            basis = coh.basis(k)
+            for z in basis.representatives:
+                _assert_exact(z.terms.values(), (where, "representative", k))
+            for z in coh.cocycles(k):
+                _assert_exact(z.terms.values(), (where, "cocycle", k))
+                coords = basis.reduce(z)
+                _assert_exact(coords.values(), (where, "reduce", k))
+                seen.update(type(c) for c in coords.values())
+        omegas = closed_two_form_basis(model)
+        if not omegas:
+            continue
+        cert = is_symplectic(model, omegas[0])
+        _assert_exact(cert.kernel_witness or (), (where, "kernel_witness"))
+        sf = SymplecticForm(model, omegas[0])
+        for alpha in forcing_check(model, sf, formal_even_base(2)).basis_alphas:
+            _assert_exact((c for row in alpha for c in row), (where, "alpha"))
+    assert seen == {int, Fraction}
+
+
 def test_cohomology_invariants(corpus):
     """b0 = 1, Poincare duality, chi = 0 and b1 = n - dim[g, g]."""
     for model in corpus:

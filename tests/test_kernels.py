@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nilsplit import linalg
 from nilsplit.exterior import merge_monomials
-from oracles import koszul_sign_by_sorting, rank_naive
+from oracles import koszul_sign_by_sorting, nullspace_naive, rank_naive
 
 matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=6),
@@ -121,3 +121,57 @@ def test_echelon_add_reports_span_growth_and_residual_recovers_combinations():
                 for i, x in echelon.kept[q].items():
                     total[i] = total.get(i, 0) + c * x
             assert {i: x for i, x in total.items() if x} == v
+
+
+def _columns_with_non_unit_leads(rng, nrows, ncols):
+    """Dense integer columns, entries in -3..3, each led by one of +-2, +-3.
+
+    The leading rows are seeded, so columns share them and later columns
+    are eliminated against earlier ones before their own pivot is found.
+    """
+    columns = []
+    for _ in range(ncols):
+        lead = rng.randrange(nrows)
+        tail = [rng.randint(-3, 3) for _ in range(nrows - lead - 1)]
+        columns.append([0] * lead + [rng.choice((-3, -2, 2, 3))] + tail)
+    return columns
+
+
+def _is_exact(c):
+    return type(c) is int or type(c) is Fraction  # never a float or a bool
+
+
+def test_non_unit_pivots_give_the_same_exact_kernel_from_ints_and_fractions():
+    """Pivots +-2 and +-3 divide: the kernel, its kept columns and every
+    residual combination are exact and the same whether the columns come as
+    ints or as Fractions, and they match the dense oracles."""
+    rng = random.Random(1968)
+    fractional = 0
+    for _ in range(80):
+        nrows = rng.randint(2, 6)
+        ncols = rng.randint(nrows, nrows + 3)
+        dense = _columns_with_non_unit_leads(rng, nrows, ncols)
+        rows = [[col[i] for col in dense] for i in range(nrows)]
+        as_ints = [{i: x for i, x in enumerate(col) if x} for col in dense]
+        as_fractions = [{i: Fraction(x) for i, x in col.items()} for col in as_ints]
+        results = []
+        for columns in (as_ints, as_fractions):
+            echelon, kernel = linalg.kernel(columns)
+            kept = [j for j, col in enumerate(columns) if any(col is v for v in echelon.kept)]
+            assert all(_is_exact(x) for v in kernel for x in v.values())
+            assert len(kept) == rank_naive(rows)
+            dense_kernel = [[v.get(j, 0) for j in range(ncols)] for v in kernel]
+            assert dense_kernel == nullspace_naive(rows, ncols)
+            results.append((kept, kernel))
+            for _ in range(3):
+                vector = {i: x for i in range(nrows) if (x := rng.randint(-3, 3))}
+                rest, combination = echelon.residual(vector)
+                assert all(_is_exact(c) for c in [*rest.values(), *combination.values()])
+                rebuilt = dict(rest)
+                for q, c in combination.items():
+                    for i, x in echelon.kept[q].items():
+                        rebuilt[i] = rebuilt.get(i, 0) + c * x
+                assert {i: x for i, x in rebuilt.items() if x} == vector
+        assert results[0] == results[1]
+        fractional += any(type(x) is Fraction for v in results[0][1] for x in v.values())
+    assert fractional >= 20, fractional  # the divisions really leave Fractions
