@@ -53,13 +53,13 @@ from .exterior import (
     FreeDGA,
     GradedAlgebra,
     contract,
+    contraction_columns,
     exact,
 )
 from .lie_algebras import CEModel
 from .symplectic import SymplecticForm
 
 ZERO = 0
-ONE = 1
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,7 @@ def _solve_alphas(fiber: CEModel, m: int, omega: Element | None):
     conditions = [fiber.d.image_of_generator(g.name) for g in fiber.algebra.generators]
     if omega is not None:
         conditions.append(omega)
-    columns = [
-        {
-            (i, key): c
-            for i, u in enumerate(conditions)
-            for key, c in contract(u, {k: ONE}).terms.items()
-        }
-        for k in range(n)
-    ]
-    _, kernel = linalg.kernel(columns)
+    _, kernel = linalg.kernel(contraction_columns(conditions, n))
     return [
         tuple(
             tuple(v.get(k, ZERO) if j == col else ZERO for j in range(m))
@@ -277,6 +269,12 @@ def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> Forcin
 
     omega must be closed: otherwise D(omega) has the alpha-free part
     d omega, no twist is Hamiltonian, and StructuralError names d omega.
+
+    A kernel vector v comes as m basis alphas, v in one column each (see
+    _solve_alphas), and every column tests the same equations
+    theta_v(d x_i) = 0 and theta_v(omega) = 0. So each v is verified once,
+    on its column-0 copy in basis_alphas[::m], by evaluating D^2 and
+    D(omega) in its twisted model.
     """
     if sf.model.algebra is not fiber.algebra:
         raise StructuralError("symplectic form lives on a different fiber")
@@ -286,13 +284,12 @@ def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> Forcin
     n, m = fiber.n, base.m
     basis_alphas = _solve_alphas(fiber, m, sf.omega)
 
-    verified = True
-    for alpha in basis_alphas:
-        tm = TwistedModel(base, fiber, alpha)
-        flat = tm.total.flatness_witness() is None
-        ham = tm.total.d(tm.include_fiber(sf.omega)).is_zero()
-        verified = verified and flat and ham
-
+    models = [TwistedModel(base, fiber, alpha) for alpha in basis_alphas[::m]]
+    verified = all(
+        tm.total.flatness_witness() is None
+        and tm.total.d(tm.include_fiber(sf.omega)).is_zero()
+        for tm in models
+    )
     return ForcingReport(
         fiber_dim=n,
         base_m=m,
@@ -308,15 +305,16 @@ def flat_alpha_space(fiber: CEModel, base: BaseModel):
     return _solve_alphas(fiber, base.m, None)
 
 
-def _wang_betti(tm: TwistedModel, cap: int, fiber: Cohomology) -> list[int]:
+def _wang_betti(tm: TwistedModel, cap: int) -> list[int]:
     """b_k(E) = (b_k - r_k) + (b_{k-2} - r_{k-1}), r_k = rank theta_* on H^k.
 
     theta d + d theta is a degree-0 derivation that vanishes on generators
     once theta(d x_k) = 0, so theta maps cocycles to cocycles and
     coboundaries to coboundaries; r_k is the rank of the induced map
-    H^k(F) -> H^{k-1}(F) on the chosen class bases.
+    H^k(F) -> H^{k-1}(F) on the class bases of the fiber's analyzer.
     """
     theta = tm.theta(0)
+    fiber = tm.fiber.cohomology
     b = fiber.betti_vector(cap)
     r = [0] * (cap + 1)
     for k in range(1, cap + 1):
@@ -356,22 +354,22 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
     alpha = 0. This is where a nonzero twist is checked: D^2 = 0 on every
     generator comes first, before any cohomology, and TwistIncompatibleError
     names a witness otherwise. total then comes from the Wang sequence over
-    S2 and from the cohomology of the total model over a formal base.
+    S2 and from the cohomology of the total model over a formal base. The
+    fiber's analyzer is its model's shared one (CEModel.cohomology).
     """
     alpha_zero = tm.alpha_is_zero()
     if not alpha_zero:
         _require_flat(tm)
     if cap is None:
         cap = tm.fiber.n + 2
-    fiber = Cohomology(tm.fiber.dga, max_degree=cap)
-    base = Cohomology(tm.base.dga, max_degree=cap)
-    expected = kunneth_convolution(base.betti_vector(cap), fiber.betti_vector(cap), cap)
+    base = Cohomology(tm.base.dga).betti_vector(cap)
+    expected = kunneth_convolution(base, tm.fiber.cohomology.betti_vector(cap), cap)
     if alpha_zero:
         total = expected
     elif tm.base.kind == "s2":
-        total = _wang_betti(tm, cap, fiber)
+        total = _wang_betti(tm, cap)
     else:
-        total = Cohomology(tm.total, max_degree=cap).betti_vector(cap)
+        total = Cohomology(tm.total).betti_vector(cap)
     return CsplitVerdict(
         c_splits=total == expected,
         cap=cap,

@@ -25,7 +25,7 @@ import re
 import sys
 
 from . import bundles, catalog, lie_algebras, reports, symplectic
-from .cohomology import Cohomology, poincare_check
+from .cohomology import poincare_check
 from .documents import (
     AlgebraDocument,
     DocumentError,
@@ -165,7 +165,7 @@ def cmd_cohomology(args) -> int:
     cap = args.max_degree if args.max_degree is not None else ce.n
     # duality and the Euler characteristic need every degree up to n, so
     # below that cap they are not computed and reported as null
-    coh = Cohomology(ce.dga, max_degree=cap)
+    coh = ce.cohomology
     bettis = coh.betti_vector(cap)
     full = cap >= ce.n
     report["cohomology"] = {
@@ -214,8 +214,12 @@ def _parse_base(text: str) -> bundles.BaseModel:
     if text == "s2":
         return bundles.sphere_base()
     if text.startswith("formal:"):
+        digits = text[len("formal:") :]
         try:
-            m = int(text.split(":", 1)[1])
+            # ASCII digits only: int() also takes "1_0", " 2", Unicode digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(digits)
+            m = int(digits)  # past the digit limit this too raises
         except ValueError:
             raise DocumentError(f"bad base spec {text!r}") from None
         if m < 1:

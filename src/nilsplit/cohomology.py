@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegreeCapError, StructuralError
+from .errors import StructuralError
 from .exterior import Element, FreeDGA
 
 
@@ -102,14 +102,13 @@ class Cohomology:
     """Per-degree cohomology analyzer with cached slices, ranks and bases.
 
     Each differential d: C^k -> C^{k+1} is eliminated once; its rank serves
-    both b_k and b_{k+1}. max_degree, when given, bounds how far the
-    analyzer will look (polynomial-type algebras are infinite, so callers
-    working with them must cap).
+    both b_k and b_{k+1}. Every method takes an explicit degree and builds
+    only the slices it reads, so one analyzer serves every reader of a DGA
+    (see CEModel.cohomology), polynomial-type algebras included.
     """
 
-    def __init__(self, dga: FreeDGA, max_degree: int | None = None):
+    def __init__(self, dga: FreeDGA):
         self.dga = dga
-        self.max_degree = max_degree
         self._slices: dict[int, DegreeSlice] = {}
         # k -> (rank of d on C^k, cocycle basis of Z^k as term maps)
         self._cycles: dict[int, tuple[int, list[dict]]] = {}
@@ -118,10 +117,6 @@ class Cohomology:
         self._bases: dict[int, CohomologyBasis] = {}
 
     def slice(self, k: int) -> DegreeSlice:
-        if self.max_degree is not None and k > self.max_degree:
-            raise DegreeCapError(
-                f"degree {k} beyond configured cap {self.max_degree}"
-            )
         if k not in self._slices:
             self._slices[k] = DegreeSlice(self.dga, k)
         return self._slices[k]
@@ -177,10 +172,6 @@ class Cohomology:
     def cup(self, p: int, coords_p, q: int, coords_q) -> dict[int, Fraction]:
         """Product of classes given by sparse coordinates, reduced at degree
         p+q against its basis to sparse coordinates."""
-        if self.max_degree is not None and p + q > self.max_degree:
-            raise DegreeCapError(
-                f"cup lands in degree {p + q}, beyond cap {self.max_degree}"
-            )
         u = self.basis(p).class_element(coords_p)
         v = self.basis(q).class_element(coords_q)
         return self.basis(p + q).reduce(u * v)

@@ -9,10 +9,6 @@ class StructuralError(NilsplitError):
     """Ill-formed algebraic input: mismatched algebras, bad degrees, etc."""
 
 
-class DegreeCapError(NilsplitError):
-    """A computation was requested beyond the configured degree cap."""
-
-
 class InvalidLieAlgebraError(NilsplitError):
     """A structure-constant table failed validation (Jacobi or nilpotency)."""
 

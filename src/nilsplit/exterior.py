@@ -503,6 +503,31 @@ def contract(u: Element, alpha: Mapping[int, Fraction]) -> Element:
     return Element(alg, acc)
 
 
+def contraction_columns(elements, n: int) -> list[dict]:
+    """Column k holds contract(u, {k: 1}) at the rows (index of u, monomial).
+
+    One pass over the terms; removing x_k leaves a distinct rest per monomial.
+    As in contract, generators 0..n-1 must have degree 1.
+    """
+    columns: list[dict] = [{} for _ in range(n)]
+    for r, u in enumerate(elements):
+        degrees = u.algebra.degrees
+        for k in range(n):
+            if degrees[k] != 1:
+                raise StructuralError(
+                    f"contraction needs degree-1 generators; "
+                    f"{u.algebra.generators[k].name!r} has degree {degrees[k]}"
+                )
+        for key, c in u.terms.items():
+            position = 0
+            for p in range(0, len(key), 2):
+                i = key[p]
+                if i < n:
+                    columns[i][(r, key[:p] + key[p + 2 :])] = -c if position & 1 else c
+                position += degrees[i] * key[p + 1]
+    return columns
+
+
 class FreeDGA:
     """A free graded-commutative algebra with a degree +1 differential."""
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
+from .cohomology import Cohomology
 from .errors import InvalidLieAlgebraError, StructuralError
 from .exterior import Derivation, Element, FreeDGA, GradedAlgebra, exact
 
@@ -196,6 +198,12 @@ class CEModel:
     @property
     def d(self) -> Derivation:
         return self.dga.d
+
+    @cached_property
+    def cohomology(self) -> Cohomology:
+        """This model's one analyzer, built on first use: the Z^2 basis, hard
+        Lefschetz, the Wang ranks and the Kunneth vector share its caches."""
+        return Cohomology(self.dga)
 
     def generator_names(self) -> list[str]:
         return [g.name for g in self.algebra.generators]

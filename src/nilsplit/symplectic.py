@@ -4,9 +4,9 @@ A candidate symplectic form is a degree-2 element omega = sum a_ij x_i x_j
 (i < j). It is symplectic when (1) d omega = 0 and (2) omega is
 nondegenerate: the map X -> iota_X omega is injective, so that
 iota_X omega = 0 forces X = 0. The columns of that map are read off
-omega's own terms, and the exact kernel of those sparse columns gives the
-rank and, for a degenerate form, a witness X. The same contraction is
-exterior.contract, which the forcing system and the obstruction use.
+omega's own terms by exterior.contraction_columns, which the forcing
+system also uses, and the exact kernel of those sparse columns gives the
+rank and, for a degenerate form, a witness X.
 
 The search for a symplectic form runs over the space Z^2 of closed
 2-forms and is a decision procedure with no budget. A 2-form on an
@@ -30,9 +30,8 @@ from itertools import product
 from math import lcm
 
 from . import linalg
-from .cohomology import Cohomology
 from .errors import StructuralError
-from .exterior import Element
+from .exterior import Element, contraction_columns
 from .lie_algebras import CEModel
 
 ZERO = 0
@@ -91,21 +90,15 @@ class SymplecticCertificate:
 def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
     """Certify closedness and nondegeneracy of a degree-2 element.
 
-    Column k of X -> iota_X omega is iota_{e_k} omega: a term c x_i x_j
-    puts c at x_j in column i and -c at x_i in column j. The rank is n
-    minus the dimension of the kernel, and the witness is the first
-    reduced-echelon kernel vector (see linalg.kernel).
+    Column k of X -> iota_X omega is iota_{e_k} omega, read off omega's
+    terms by exterior.contraction_columns. The rank is n minus the dimension
+    of the kernel, and the witness is the first reduced-echelon kernel
+    vector (see linalg.kernel).
     """
     SymplecticForm.from_element(model, omega)
     d_omega = model.d(omega)
     n = model.n
-    columns: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for key, c in omega.terms.items():
-        # degree-2 monomials of a CE model are exactly x_i x_j, i < j
-        i, j = key[0], key[2]
-        columns[i][j] = c
-        columns[j][i] = -c
-    _, kernel = linalg.kernel(columns)
+    _, kernel = linalg.kernel(contraction_columns([omega], n))
     rank = n - len(kernel)
     witness = tuple(kernel[0].get(k, ZERO) for k in range(n)) if kernel else None
     return SymplecticCertificate(
@@ -145,7 +138,7 @@ class SymplecticSearchResult:
 
 def closed_two_form_basis(model: CEModel) -> list[Element]:
     """Basis of Z^2, the closed 2-forms; all of degree 2 lies in Lambda^2 V."""
-    return Cohomology(model.dga).cocycles(2)
+    return model.cohomology.cocycles(2)
 
 
 def _products(level, forms):
@@ -300,37 +293,19 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     """
     if sf.model.algebra is not model.algebra:
         raise StructuralError("form and model live over different generator sets")
-    coh = Cohomology(model.dga)
+    coh = model.cohomology
     half = model.n // 2
     if model.n % 2:
         raise StructuralError("hard Lefschetz needs an even-dimensional model")
-    b = coh.betti(half)
-    entries = [
-        LefschetzEntry(
-            k=0,
-            source_degree=half,
-            target_degree=half,
-            source_betti=b,
-            target_betti=b,
-            rank=b,
-            isomorphism=True,
-        )
-    ]
-    for k in range(1, half + 1):
+    entries = []
+    for k in range(half + 1):
         p, q = half - k, half + k
-        omega_k = sf.omega.power(k)
-        basis_p = coh.basis(p)
-        basis_q = coh.basis(q)
-        rk = basis_q.rank_of(omega_k * rep for rep in basis_p.representatives)
-        entries.append(
-            LefschetzEntry(
-                k=k,
-                source_degree=p,
-                target_degree=q,
-                source_betti=basis_p.betti,
-                target_betti=basis_q.betti,
-                rank=rk,
-                isomorphism=basis_p.betti == basis_q.betti == rk,
-            )
-        )
+        if k:
+            basis_p, basis_q = coh.basis(p), coh.basis(q)
+            omega_k = sf.omega.power(k)
+            rk = basis_q.rank_of(omega_k * rep for rep in basis_p.representatives)
+            bp, bq = basis_p.betti, basis_q.betti
+        else:
+            bp = bq = rk = coh.betti(half)
+        entries.append(LefschetzEntry(k, p, q, bp, bq, rk, bp == bq == rk))
     return entries

@@ -65,7 +65,7 @@ def test_sphere_base_shape():
     assert d_b == a * a
     assert base.dga.d.image_of_generator("a").is_zero()
     assert base.dga.flatness_witness() is None
-    coh = Cohomology(base.dga, max_degree=5)
+    coh = Cohomology(base.dga)
     assert coh.betti_vector(4) == [1, 0, 1, 0, 0]
 
 
@@ -174,6 +174,46 @@ def test_forcing_degenerate_form_leaves_twists(catalog_models):
         tm = build_twisted(t4, sphere_base(), alpha)
         assert tm.total.d(tm.include_fiber(degenerate.omega)).is_zero()
         assert any(any(row) for row in alpha)
+
+
+def test_forcing_verifies_each_kernel_vector_once(monkeypatch):
+    """The m copies of a kernel vector test the same equations, so forcing
+    builds one twisted model per kernel vector, not one per basis alpha."""
+    import nilsplit.bundles as bundles
+
+    built = []
+    real = bundles.TwistedModel
+
+    def spy(base, fiber, alpha):
+        built.append(alpha)
+        return real(base, fiber, alpha)
+
+    monkeypatch.setattr(bundles, "TwistedModel", spy)
+    t8 = ce_model(LieAlgebraSpec(dim=8, brackets=()))
+    degenerate = SymplecticForm.from_coeffs(t8, [(1, 2, 1)])
+    report = forcing_check(t8, degenerate, formal_even_base(3))
+    # theta(omega) = v1 x2 - v2 x1 = 0 leaves v3..v8 free, in each of 3 columns
+    assert report.solution_dimension == 18
+    assert built == list(report.basis_alphas[::3]) and len(built) == 6
+    assert report.witnesses_verified
+
+
+def test_forcing_flags_a_witness_that_fails_verification(kt, kt_form, monkeypatch):
+    """A basis alpha with D^2 != 0 is caught, on the column-0 copy it checks."""
+    import nilsplit.bundles as bundles
+
+    for base in (sphere_base(), formal_even_base(2)):
+        m = base.m
+        # alpha on x1 in each column: D^2 x3 = -a_j x2, as in
+        # test_kt_alpha_on_x1_is_rejected_with_witness
+        bad = [
+            tuple(tuple(F(j == col and k == 0) for j in range(m)) for k in range(4))
+            for col in range(m)
+        ]
+        monkeypatch.setattr(bundles, "_solve_alphas", lambda fiber, m, omega, bad=bad: bad)
+        report = forcing_check(kt, kt_form, base)
+        assert report.basis_alphas == tuple(bad)
+        assert not report.witnesses_verified
 
 
 def test_forcing_solution_dim_is_kernel_of_A(catalog_models):

@@ -9,7 +9,7 @@ from oracles import betti_vector_naive, rank_naive
 
 from nilsplit.bundles import sphere_base
 from nilsplit.cohomology import Cohomology, DegreeSlice, poincare_check
-from nilsplit.errors import DegreeCapError, StructuralError
+from nilsplit.errors import StructuralError
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
 
 F = Fraction
@@ -232,18 +232,9 @@ def test_poincare_duality_and_euler(catalog_models):
         assert coh.betti(0) == 1, name
 
 
-def test_degree_cap_errors(kt):
-    coh = Cohomology(kt.dga, max_degree=3)
-    coh.betti(3)
-    with pytest.raises(DegreeCapError):
-        coh.betti(4)
-    with pytest.raises(DegreeCapError):
-        coh.cup(2, {}, 2, {})
-
-
 def test_formal_base_betti_is_polynomial_count():
     from nilsplit.bundles import formal_even_base
 
     base = formal_even_base(3)
-    coh = Cohomology(base.dga, max_degree=6)
+    coh = Cohomology(base.dga)
     assert coh.betti_vector(6) == [1, 0, 3, 0, 6, 0, 10]

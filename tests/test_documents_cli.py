@@ -591,6 +591,36 @@ def test_cli_cohomology_max_degree_bounds_the_slices(capsys, monkeypatch):
     assert data["euler_characteristic"] is None
 
 
+def test_cli_builds_each_fiber_slice_once_per_job(tmp_path, capsys, monkeypatch):
+    """The search, hard Lefschetz and csplit read one analyzer per model."""
+    from collections import Counter
+
+    from nilsplit import cohomology
+
+    built = Counter()
+    real = cohomology.DegreeSlice
+
+    def spy(dga, degree):
+        built[len(dga.algebra.generators), degree] += 1
+        return real(dga, degree)
+
+    monkeypatch.setattr(cohomology, "DegreeSlice", spy)
+    doc = tmp_path / "kt-no-omega.json"
+    doc.write_text('{"name":"kt","dim":4,"brackets":[{"i":1,"j":2,"k":3,"c":"1"}]}')
+    for argv in (
+        ("symplectic", str(doc)),
+        ("csplit", str(doc)),
+        ("csplit", str(doc), "--base", "formal:2"),
+    ):
+        built.clear()
+        code, _, _ = run_cli(capsys, *argv, "--format", "machine")
+        assert code == 0, argv
+        # the fiber is the one 4-generator DGA: its slice (4, 2) is read by
+        # the search and by hard Lefschetz or the Kunneth vector
+        fiber = {key: count for key, count in built.items() if key[0] == 4}
+        assert fiber[4, 2] == 1 and set(fiber.values()) == {1}, (argv, fiber)
+
+
 def test_cli_cohomology_full_cap_reports_duality(capsys):
     for cap in ("4", "6"):
         code, out, _ = run_cli(
@@ -617,6 +647,14 @@ def test_cli_symplectic_report_of_a_decided_negative(capsys):
 def test_cli_bad_base_or_alpha_specs(capsys):
     code, _, err = run_cli(capsys, "csplit", "torus2", "--base", "s3")
     assert code == 2
+    # formal:M takes ASCII digits only, not what int() also reads
+    for spec in ("formal:1_0", "formal:\u0663", "formal: 2", "formal:+2", "formal:"):
+        code, out, err = run_cli(capsys, "csplit", "kodaira-thurston", "--base", spec)
+        assert (code, out, err) == (2, "", f"error: bad base spec {spec!r}\n"), spec
+    code, out, _ = run_cli(
+        capsys, "csplit", "kodaira-thurston", "--base", "formal:02", "--format", "machine"
+    )
+    assert code == 0 and json.loads(out)["base"] == "formal:02"
     code, _, err = run_cli(capsys, "csplit", "torus2", "--alpha", "1,2,3")
     assert code == 2
     code, _, err = run_cli(capsys, "csplit", "torus2", "--alpha", "x,y")

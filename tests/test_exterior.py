@@ -17,6 +17,7 @@ from nilsplit.exterior import (
     FreeDGA,
     GradedAlgebra,
     contract,
+    contraction_columns,
     exact,
 )
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_dga
@@ -317,6 +318,28 @@ def test_contract_is_a_degree_minus_one_derivation(mixed):
         assert contract(contract(v, alpha), alpha).is_zero()
     with pytest.raises(StructuralError):
         contract(mixed.gen("a1"), {3: Fraction(1)})  # a1 has degree 2
+
+
+def test_contraction_columns_match_contract(mixed, catalog_models):
+    """Column k holds contract(u, {k: 1}) at the rows (index of u, monomial)."""
+    rng = random.Random(606)
+    cases = [([_random_element(rng, mixed, 4) for _ in range(3)], 3)]  # x1..x3 only
+    for model in catalog_models.values():
+        images = [model.d.image_of_generator(name) for name in model.generator_names()]
+        randoms = [_random_homogeneous(rng, model.algebra, p, 0.4) for p in (1, 2, 3, 4)]
+        cases += [(images, model.n), (randoms, model.n)]
+    for elements, n in cases:
+        columns = contraction_columns(elements, n)
+        assert len(columns) == n
+        for k in range(n):
+            want = {
+                (r, key): c
+                for r, u in enumerate(elements)
+                for key, c in contract(u, {k: 1}).terms.items()
+            }
+            assert columns[k] == want, k
+    with pytest.raises(StructuralError):
+        contraction_columns([mixed.gen("x1")], 4)  # a1 has degree 2
 
 
 @settings(max_examples=100, deadline=None)
