@@ -9,8 +9,13 @@ system also uses, and the exact kernel of those sparse columns gives the
 rank and, for a degenerate form, a witness X.
 
 The search for a symplectic form runs over the space Z^2 of closed
-2-forms and is a decision procedure with no budget. A 2-form on an
-n-dimensional algebra is nondegenerate iff its power omega^{n/2} is
+2-forms and is a decision procedure with no budget. Two exact
+certificates come first. If the closed 2-forms share a nonzero kernel
+vector X, every one of them is degenerate, and X is named. If the closed
+monomials x_i x_j pair off the generators (a perfect matching), the sum
+of the pairs is closed and nondegenerate, and is certified like any other
+form. Only when neither applies does the product chain decide. A 2-form
+on an n-dimensional algebra is nondegenerate iff its power omega^{n/2} is
 nonzero, and by polarization omega^{n/2} vanishes for every closed omega
 iff every product of n/2 elements of a basis of Z^2 does. The span of
 those products is built one factor at a time: if it dies, that is a proof
@@ -116,13 +121,17 @@ class SymplecticSearchResult:
     """Outcome of find_symplectic.
 
     status is one of:
-      "found"             a certified form is attached, the first grid
-                          point of full rank (see find_symplectic);
+      "found"             a certified form is attached: the sum of a
+                          perfect matching of closed monomials, or else
+                          the first grid point of full rank under the
+                          product chain (see find_symplectic);
       "definitively-none" no symplectic form exists on this model, proved
-                          by the odd dimension, by Z^2 = 0, or by the
-                          vanishing of every product of dim/2 closed
-                          2-forms (reason names which).
-    closed_dim is dim Z^2, or -1 when the odd dimension decides first.
+                          by the odd dimension, by Z^2 = 0, by a nonzero
+                          vector in the common kernel of all closed
+                          2-forms, or by the vanishing of every product of
+                          dim/2 closed 2-forms.
+    reason names which check decided. closed_dim is dim Z^2, or -1 when the
+    odd dimension decides first.
     """
 
     status: str
@@ -205,8 +214,61 @@ def _product_chain(omegas: list[Element], half: int):
     yield [first[0]] if first else []
 
 
-def find_symplectic(model: CEModel) -> SymplecticSearchResult:
-    """Decide whether Z^2 has a nondegenerate element; name one if it does.
+def _none(closed_dim: int, reason: str) -> SymplecticSearchResult:
+    return SymplecticSearchResult("definitively-none", None, None, closed_dim, reason)
+
+
+def _found(model, omega, cert, closed_dim, reason) -> SymplecticSearchResult:
+    """The result for a candidate that must certify; anything else is a bug."""
+    if not cert.symplectic:
+        raise StructuralError("search produced an uncertifiable candidate")
+    return SymplecticSearchResult("found", SymplecticForm(model, omega), cert, closed_dim, reason)
+
+
+def _common_kernel_vector(omegas: list[Element], n: int):
+    """The first reduced-echelon vector X with iota_X omega = 0 for every
+    omega in the list, as a coordinate tuple, or None when there is none.
+
+    The columns of X -> (iota_X omega_1, ..., iota_X omega_m) are read off
+    the forms' terms by exterior.contraction_columns, as is_symplectic reads
+    one form's, so X is given the way a kernel witness is.
+    """
+    _, kernel = linalg.kernel(contraction_columns(omegas, n))
+    return tuple(kernel[0].get(k, ZERO) for k in range(n)) if kernel else None
+
+
+def _first_perfect_matching(partners: list[list[int]]):
+    """The lexicographically first perfect matching of a graph on 0..n-1,
+    as ascending pairs (v, u) with v < u, or None when it has none.
+
+    partners[v] lists, ascending, the neighbours of v above v. The smallest
+    free vertex is matched first, to each of its free partners in turn, so
+    the first complete matching met is the lexicographically first. A set
+    of free vertices (a bit set) that has no perfect matching is recorded
+    once and never searched again; the record lives only for this call.
+    """
+    dead = set()
+
+    def match(free: int):
+        if not free:
+            return []
+        if free in dead:
+            return None
+        v = (free & -free).bit_length() - 1
+        for u in partners[v]:
+            if free >> u & 1:
+                rest = match(free & ~(1 << v | 1 << u))
+                if rest is not None:
+                    return [(v, u), *rest]
+        dead.add(free)
+        return None
+
+    return match((1 << len(partners)) - 1)
+
+
+def _chain_search(model: CEModel, omegas: list[Element]) -> SymplecticSearchResult:
+    """Decide by the product chain, given a nonempty basis of Z^2 on an
+    even-dimensional model; find_symplectic's last resort.
 
     W_0 = span(1) and W_{j+1} = span(omega_i * w) over the Z^2 basis
     omega_i and the kept vectors w of W_j. W_j is the span of all products
@@ -228,22 +290,11 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
     before the echelon. Only the labels of the kept products leave the
     chain, so the witness is the one the products of the forms name.
     """
-    n = model.n
-
-    def none(closed_dim, reason):
-        return SymplecticSearchResult("definitively-none", None, None, closed_dim, reason)
-
-    if n % 2:
-        return none(-1, f"odd dimension {n}")
-    omegas = closed_two_form_basis(model)
     m = len(omegas)
-    if m == 0:
-        return none(0, "no nonzero closed 2-forms")
-
-    half = n // 2
+    half = model.n // 2
     for j, labels in enumerate(_product_chain(omegas, half), 1):
         if not labels:
-            return none(
+            return _none(
                 m,
                 f"every {j}-fold product of closed 2-forms vanishes, so "
                 f"omega^{half} = 0 for every closed 2-form omega",
@@ -256,19 +307,53 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
             if w:
                 omega = omega + omega_i.scale(w)
         cert = is_symplectic(model, omega)
-        if not cert.nondegenerate:
-            continue
-        if not cert.symplectic:
-            raise StructuralError("search produced an uncertifiable candidate")
-        return SymplecticSearchResult(
-            status="found",
-            form=SymplecticForm(model, omega),
-            certificate=cert,
-            closed_dim=m,
-            reason=f"grid witness under a nonzero {half}-fold product of "
-            f"closed 2-forms, certified",
-        )
+        if cert.nondegenerate:
+            reason = f"grid witness under a nonzero {half}-fold product of closed 2-forms"
+            return _found(model, omega, cert, m, reason + ", certified")
     raise StructuralError("no grid point under a nonzero product is nondegenerate")
+
+
+def find_symplectic(model: CEModel) -> SymplecticSearchResult:
+    """Decide whether Z^2 has a nondegenerate element; name one if it does.
+
+    The checks run in this order, and the first that applies decides:
+      - an odd dimension, or Z^2 = 0: no form;
+      - the common kernel K = {X : iota_X omega = 0 for every closed
+        omega} is nonzero: every closed 2-form vanishes on the vector X
+        the reason names, so none is nondegenerate;
+      - the closed monomials x_i x_j, those with d(x_i x_j) = 0, have a
+        perfect matching: the sum of its monomials is closed, and it is
+        nondegenerate because each generator occurs in exactly one of its
+        terms. The lexicographically first matching is taken;
+      - otherwise the product chain decides (_chain_search).
+    Every form returned is certified by is_symplectic first.
+    """
+    n = model.n
+    if n % 2:
+        return _none(-1, f"odd dimension {n}")
+    omegas = closed_two_form_basis(model)
+    m = len(omegas)
+    if m == 0:
+        return _none(0, "no nonzero closed 2-forms")
+
+    x = _common_kernel_vector(omegas, n)
+    if x is not None:
+        return _none(
+            m,
+            f"iota_X omega = 0 for every closed 2-form omega at X = "
+            f"({', '.join(map(str, x))}) in their common kernel, so none is nondegenerate",
+        )
+
+    d = model.d
+    partners = [
+        [j for j in range(i + 1, n) if not d.monomial_terms((i, 1, j, 1))] for i in range(n)
+    ]
+    matching = _first_perfect_matching(partners)
+    if matching is not None:
+        omega = model.algebra.element({(i, 1, j, 1): 1 for i, j in matching})
+        reason = "sum of the closed monomials x_i x_j of a perfect matching of the generators"
+        return _found(model, omega, is_symplectic(model, omega), m, reason + ", certified")
+    return _chain_search(model, omegas)
 
 
 @dataclass(frozen=True)

@@ -641,7 +641,11 @@ def test_cli_symplectic_report_of_a_decided_negative(capsys):
     data = json.loads(out)
     assert data["status"] == "definitively-none"
     assert data["search"]["closed_two_form_dim"] == 10
-    assert "3-fold product of closed 2-forms vanishes" in data["search"]["reason"]
+    # the center x5 of h5 lies in the common kernel of every closed 2-form
+    assert data["search"]["reason"] == (
+        "iota_X omega = 0 for every closed 2-form omega at X = (0, 0, 0, 0, 1, 0) "
+        "in their common kernel, so none is nondegenerate"
+    )
 
 
 def test_cli_bad_base_or_alpha_specs(capsys):

@@ -36,6 +36,8 @@ from nilsplit.exterior import Element
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
 from nilsplit.symplectic import (
     SymplecticForm,
+    _chain_search,
+    _common_kernel_vector,
     _product_chain,
     closed_two_form_basis,
     find_symplectic,
@@ -232,6 +234,42 @@ def test_product_chain_matches_element_product_oracle(catalog_models, corpus, di
         multi += sum(len(w.terms) > 1 for w in omegas)
         fractional += sum(any(c.denominator > 1 for c in w.terms.values()) for w in omegas)
     assert compared >= 30 and multi >= 30 and fractional >= 3, (compared, multi, fractional)
+
+
+def test_certificates_agree_with_product_chain_oracle(catalog_models, corpus, dim8_pairs):
+    """find_symplectic against its own last resort, the product chain.
+
+    On the catalog, the corpus and both bases of the dim-8 pairs, wherever
+    the dimension is even and Z^2 != 0: status and dim Z^2 agree; every common-kernel "none" is a chain
+    "none", and its X is the first vector of the dense kernel of the stacked
+    skew matrices of the Z^2 basis; every matching form is certified, and
+    the chain finds a form there too.
+    """
+    models = [*catalog_models.values(), *corpus]
+    models += [ce_model(s) for pair in dim8_pairs for s in pair]
+    by = {"kernel": 0, "matching": 0, "chain": 0}
+    for model in models:
+        res = find_symplectic(model)
+        omegas = closed_two_form_basis(model)
+        if model.n % 2 or not omegas:
+            continue
+        chain = _chain_search(model, omegas)
+        assert (res.status, res.closed_dim) == (chain.status, chain.closed_dim), model.spec
+        x = _common_kernel_vector(omegas, model.n)
+        rows = [row for omega in omegas for row in skew_matrix(omega, model.n)]
+        dense = nullspace_naive(rows, model.n)
+        assert x == (tuple(dense[0]) if dense else None), model.spec
+        if x is not None:
+            assert not res.found and "common kernel" in res.reason, model.spec
+            by["kernel"] += 1
+        elif "perfect matching" in res.reason:
+            assert res.found and is_symplectic(model, res.form.omega).symplectic, model.spec
+            assert all(c == 1 for c in res.form.omega.terms.values()), model.spec
+            by["matching"] += 1
+        else:
+            assert res == chain, model.spec
+            by["chain"] += 1
+    assert by["kernel"] >= 10 and by["matching"] >= 10 and by["chain"] >= 5, by
 
 
 def test_hard_lefschetz_matches_dense_oracle(

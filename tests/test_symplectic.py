@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from oracles import contraction_literal, lattice_points, rank_naive, skew_matrix
@@ -13,6 +13,9 @@ from nilsplit.exterior import contract
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
 from nilsplit.symplectic import (
     SymplecticForm,
+    _chain_search,
+    _first_perfect_matching,
+    closed_two_form_basis,
     find_symplectic,
     hard_lefschetz,
     is_symplectic,
@@ -131,13 +134,18 @@ def test_find_symplectic_succeeds_on_every_symplectic_catalog_entry(catalog_mode
         assert res.certificate.symplectic, name
 
 
+def _chain(model):
+    """The product chain alone, the last resort of find_symplectic."""
+    return _chain_search(model, closed_two_form_basis(model))
+
+
 def test_find_symplectic_grid_witness_on_every_symplectic_catalog_entry(catalog_models):
-    """The witness comes from the grid under a nonzero product."""
+    """The chain's witness comes from the grid under a nonzero product."""
     from nilsplit import catalog
 
     for name in catalog.symplectic_names():
         model = catalog_models[name]
-        res = find_symplectic(model)
+        res = _chain(model)
         assert res.found, name
         assert "grid witness" in res.reason, name
         assert is_symplectic(model, res.form.omega).symplectic, name
@@ -162,7 +170,7 @@ def test_find_symplectic_odd_dimension_definitive():
 
 
 def test_find_symplectic_h5r_definitive(catalog_models):
-    res = find_symplectic(catalog_models["heisenberg5-plus-r"])
+    res = _chain(catalog_models["heisenberg5-plus-r"])
     assert res.status == "definitively-none"
     assert res.closed_dim == 10
     assert "3-fold product" in res.reason
@@ -190,7 +198,7 @@ def _free_two_step(g: int) -> LieAlgebraSpec:
 )
 def test_find_symplectic_dim10_definitive_without_budget(spec):
     """Both dim-10 decisions were out of reach of the lattice sweep."""
-    res = find_symplectic(ce_model(spec))
+    res = _chain(ce_model(spec))
     assert res.status == "definitively-none"
     assert "5-fold product" in res.reason
 
@@ -234,11 +242,106 @@ PINNED_SEARCHES = {
 
 @pytest.mark.parametrize("name", list(PINNED_SEARCHES))
 def test_find_symplectic_pinned_at_dims_8_to_12(name):
-    """Status, dim Z^2, reason and witness, as the Element-product chain gave them."""
+    """Status, dim Z^2, reason and witness of the product chain, as the
+    Element-product chain gave them."""
     spec, status, closed_dim, reason, form = PINNED_SEARCHES[name]
-    res = find_symplectic(ce_model(spec))
+    res = _chain(ce_model(spec))
     got = (res.status, res.closed_dim, res.reason, str(res.form))
     assert got == (status, closed_dim, reason, form)
+
+
+_KERNEL = (
+    "iota_X omega = 0 for every closed 2-form omega at X = ({}) in their "
+    "common kernel, so none is nondegenerate"
+)
+_MATCHING = (
+    "sum of the closed monomials x_i x_j of a perfect matching of the "
+    "generators, certified"
+)
+
+
+def _unit(n: int, k: int) -> str:
+    """The coordinates of e_k (1-based) as the kernel reason prints them."""
+    return ", ".join("1" if i == k else "0" for i in range(1, n + 1))
+
+
+FRONT_DOOR = {
+    "h5+h3": _KERNEL.format(_unit(8, 5)),
+    "h7+R": _KERNEL.format(_unit(8, 7)),
+    "h9+R": _KERNEL.format(_unit(10, 9)),
+    "h11+R": _KERNEL.format(_unit(12, 11)),
+    "h3+R5": _MATCHING,
+    "h3h3+R2": _MATCHING,
+    "h3+R7": _MATCHING,
+    "h3+R9": _MATCHING,
+    "L8": _FOUND.format(4),
+}
+
+
+@pytest.mark.parametrize("name", list(FRONT_DOOR))
+def test_find_symplectic_certificates_pinned(name):
+    """Which check decides, through find_symplectic: the common kernel on the
+    negatives (the center of the Heisenberg factor), a perfect matching of
+    closed monomials on the block-basis positives, with the chain's own
+    witness, and the chain on L8, whose Darboux form needs cancelling terms.
+    Status, dim Z^2 and every form are the chain's."""
+    spec, status, closed_dim, _, form = PINNED_SEARCHES[name]
+    res = find_symplectic(ce_model(spec))
+    got = (res.status, res.closed_dim, res.reason, str(res.form))
+    assert got == (status, closed_dim, FRONT_DOOR[name], form)
+    if res.found:
+        assert res.certificate.symplectic
+
+
+def test_find_symplectic_free2step4_falls_back_to_the_chain():
+    """free2step4 has no common kernel vector, so the chain decides."""
+    res = find_symplectic(ce_model(_free_two_step(4)))
+    assert (res.status, res.closed_dim) == ("definitively-none", 26)
+    assert res.reason == _NONE.format(5)
+
+
+def test_find_symplectic_dim20_by_certificates():
+    """At dim 20 each certificate decides in milliseconds; the product chain
+    took 51 s (h19+R) and 89 s (h3+R^17) on the same inputs."""
+    none = find_symplectic(ce_model(_heisenberg_plus_r(9)))
+    assert none.status == "definitively-none"
+    assert none.reason == _KERNEL.format(_unit(20, 19))
+    found = find_symplectic(ce_model(_h3_plus_r(17)))
+    assert found.found and found.certificate.symplectic
+    assert found.reason == _MATCHING
+    assert str(found.form) == " + ".join(
+        ["x1*x3", "x2*x4"] + [f"x{i}*x{i + 1}" for i in range(5, 21, 2)]
+    )
+
+
+def _matchings_naive(n: int, edges: set) -> list:
+    """Every perfect matching of a graph on 0..n-1, each as sorted pairs."""
+    if n == 0:
+        return [[]]
+    found = []
+    for pairs in combinations(sorted(edges), n // 2):
+        if len({v for pair in pairs for v in pair}) == n:
+            found.append(sorted(pairs))
+    return found
+
+
+def test_first_perfect_matching_against_enumeration():
+    """The lexicographically first of all perfect matchings, or None."""
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.choice([2, 4, 6, 8])
+        density = rng.choice([0.2, 0.4, 0.7])
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+        partners = [[j for j in range(i + 1, n) if (i, j) in edges] for i in range(n)]
+        want = min(_matchings_naive(n, edges), default=None)
+        assert _first_perfect_matching(partners) == want, (n, sorted(edges))
+        seen[want is not None] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+    # K_19 plus an isolated vertex, the shape of h19+R's graph: the dead
+    # sets of free vertices are searched once each (milliseconds), where
+    # the plain search would try all 17!! matchings of vertices 0..17
+    assert _first_perfect_matching([list(range(i + 1, 19)) for i in range(20)]) is None
 
 
 def test_lattice_points_count():
