@@ -163,8 +163,10 @@ def cmd_cohomology(args) -> int:
     if ce is None:
         return EXIT_INPUT
     cap = args.max_degree if args.max_degree is not None else ce.n
-    # duality and the Euler characteristic need every degree up to n, so
-    # below that cap they are not computed and reported as null
+    # below the dimension n, duality and the Euler characteristic are
+    # reported as null; from n on, the analyzer reads the upper half of the
+    # table off the ranks of d below the middle, and poincare_duality is
+    # the certificate that makes that exact (cohomology.poincare_check)
     coh = ce.cohomology
     bettis = coh.betti_vector(cap)
     full = cap >= ce.n

@@ -36,7 +36,8 @@ from math import lcm
 
 from . import linalg
 from .errors import StructuralError
-from .exterior import Element, contraction_columns
+from .cohomology import poincare_check
+from .exterior import Element, contraction_columns, merge_monomials
 from .lie_algebras import CEModel
 
 ZERO = 0
@@ -367,30 +368,66 @@ class LefschetzEntry:
     isomorphism: bool
 
 
-def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
-    """Rank of cup with [omega]^k : H^{n-k} -> H^{n+k} for 0 <= k <= n.
+def _pairing_rank(products, partners: list[Element], algebra) -> int:
+    """Rank of the matrix G_ij = <u_i, a_j> over products u_i, partners a_j.
 
-    n is half the dimension. An entry is an isomorphism when the two Betti
-    numbers agree and the map has full rank. k = 0 is the identity on
-    H^n, of rank b_n, so the largest class basis is never built; every
-    other rank is counted exactly on the echelon of H^{n+k} (see
-    CohomologyBasis.rank_of).
+    <u, v> is the coefficient of x_1...x_n in uv. Each term c x_m of a_j is
+    filed under the complementary monomial x_m' with the sign of
+    x_m' x_m = +-x_1...x_n, so one pass over the terms of u_i fills row i.
+    """
+    n, parity = len(algebra.generators), algebra.parity
+    dual: dict[tuple, list] = {}
+    for j, a in enumerate(partners):
+        for key, c in a.terms.items():
+            held = set(key[::2])
+            comp = tuple(x for i in range(n) if i not in held for x in (i, 1))
+            sign, _ = merge_monomials(comp, key, parity)
+            dual.setdefault(comp, []).append((j, c if sign > 0 else -c))
+    rows = linalg.Echelon()
+    for u in products:
+        row = {}
+        for key, e in u.terms.items():
+            for j, c in dual.get(key, ()):
+                y = row.get(j, ZERO) + e * c
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        rows.add(row)
+    return len(rows.kept)
+
+
+def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
+    """Rank of cup with [omega]^k : H^{h-k} -> H^{h+k} for 0 <= k <= h.
+
+    h is half the dimension n. An entry is an isomorphism when the two
+    Betti numbers agree and the map has full rank. The model's analyzer
+    must certify Poincare duality (cohomology.poincare_check), or this
+    refuses: then b_{h+k} = b_{h-k}, and the pairing of H^{h+k} with
+    H^{h-k}, the top coefficient of a product, is perfect, so a class of
+    degree h+k is zero iff it pairs to zero with every representative a_j
+    of H^{h-k}. The rank of [omega]^k is thus the rank of the b x b matrix
+    <omega^k a_i, a_j> (see _pairing_rank), and no class basis above
+    degree h - 1 is built. k = 0 is the identity on H^h, of rank b_h.
     """
     if sf.model.algebra is not model.algebra:
         raise StructuralError("form and model live over different generator sets")
     coh = model.cohomology
-    half = model.n // 2
-    if model.n % 2:
+    n = model.n
+    half = n // 2
+    if n % 2:
         raise StructuralError("hard Lefschetz needs an even-dimensional model")
+    if not poincare_check(coh, n):
+        raise StructuralError("hard Lefschetz needs Poincare duality: d != 0 on C^(n-1)")
     entries = []
     for k in range(half + 1):
         p, q = half - k, half + k
         if k:
-            basis_p, basis_q = coh.basis(p), coh.basis(q)
+            reps = coh.basis(p).representatives
             omega_k = sf.omega.power(k)
-            rk = basis_q.rank_of(omega_k * rep for rep in basis_p.representatives)
-            bp, bq = basis_p.betti, basis_q.betti
+            rk = _pairing_rank((omega_k * a for a in reps), reps, model.algebra)
+            bp = len(reps)
         else:
-            bp = bq = rk = coh.betti(half)
-        entries.append(LefschetzEntry(k, p, q, bp, bq, rk, bp == bq == rk))
+            bp = rk = coh.betti(half)
+        entries.append(LefschetzEntry(k, p, q, bp, bp, rk, bp == rk))
     return entries

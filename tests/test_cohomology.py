@@ -1,5 +1,8 @@
-"""Degree slices, Betti numbers, representatives, cup products."""
+"""Degree slices, Betti numbers, representatives, cup products, and the
+Poincare duality certificate that lets the analyzer read the upper half of
+a CE model off the lower one."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -7,10 +10,13 @@ from math import comb
 import pytest
 from oracles import betti_vector_naive, rank_naive
 
-from nilsplit.bundles import sphere_base
+from nilsplit import catalog
+from nilsplit.bundles import build_twisted, flat_alpha_space, formal_even_base, sphere_base
+from nilsplit.cli import main
 from nilsplit.cohomology import Cohomology, DegreeSlice, poincare_check
 from nilsplit.errors import StructuralError
-from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
+from nilsplit.lie_algebras import CEModel, LieAlgebraSpec, ce_dga, ce_model
+from nilsplit.symplectic import SymplecticForm, find_symplectic, hard_lefschetz
 
 F = Fraction
 
@@ -83,9 +89,13 @@ def test_sphere_model_betti():
 
 
 def test_betti_matches_naive_oracle(catalog_models):
+    """The oracle eliminates every degree, so its b_k = b_{n-k} observes the
+    duality that the analyzer assumes when it reads the upper half."""
     for name, model in catalog_models.items():
         production = Cohomology(model.dga).betti_vector(model.n)
-        assert production == betti_vector_naive(model.dga, model.n), name
+        oracle = betti_vector_naive(model.dga, model.n)
+        assert production == oracle, name
+        assert oracle == oracle[::-1], name
 
 
 def test_representatives_torus2():
@@ -225,9 +235,12 @@ def test_cup_graded_commutative_random(kt):
 
 
 def test_poincare_duality_and_euler(catalog_models):
+    """poincare_check is the certificate: n generators of degree 1, d = 0 on C^{n-1}."""
     for name, model in catalog_models.items():
         coh = Cohomology(model.dga)
         assert poincare_check(coh, model.n), name
+        assert coh.duality == model.n, name
+        assert not poincare_check(coh, model.n + 1), name
         assert coh.euler_characteristic(model.n) == 0, name
         assert coh.betti(0) == 1, name
 
@@ -238,3 +251,88 @@ def test_formal_base_betti_is_polynomial_count():
     base = formal_even_base(3)
     coh = Cohomology(base.dga)
     assert coh.betti_vector(6) == [1, 0, 3, 0, 6, 0, 10]
+
+
+# [X1, X2] = X2: a Lie algebra that is not unimodular, so d(x1) = 0 but
+# d(x2) = -x1 x2 != 0 on C^{n-1}; ce_dga does not validate
+AFF = LieAlgebraSpec(dim=2, brackets=((1, 2, 2, F(1)),))
+
+
+def test_non_unimodular_dga_is_not_mirrored():
+    dga = ce_dga(AFF)
+    coh = Cohomology(dga)
+    assert coh.duality is None
+    assert not poincare_check(coh, 2)
+    assert coh.betti_vector(2) == [1, 1, 0] == betti_vector_naive(dga, 2)
+    # the mirror without its certificate reads the wrong half
+    forced = Cohomology(dga)
+    forced.duality = 2
+    assert forced.betti_vector(2) == [1, 2, 1]
+
+
+def test_hard_lefschetz_refuses_without_duality():
+    dga = ce_dga(AFF)
+    model = CEModel(spec=AFF, dga=dga)
+    sf = SymplecticForm(model, dga.algebra.element({(0, 1, 1, 1): 1}))
+    with pytest.raises(StructuralError, match="Poincare duality"):
+        hard_lefschetz(model, sf)
+
+
+def test_bundle_models_are_never_mirrored(kt):
+    """Base and total models have even generators: every degree is eliminated."""
+    twists = {"s2": flat_alpha_space(kt, sphere_base())[0], "formal": [[0, 0]] * 4}
+    for base in (sphere_base(), formal_even_base(2)):
+        assert Cohomology(base.dga).duality is None
+        tm = build_twisted(kt, base, twists[base.kind])
+        coh = Cohomology(tm.total)
+        assert coh.duality is None and not poincare_check(coh, len(tm.total.generators))
+        assert coh.betti_vector(6) == betti_vector_naive(tm.total, 6), base.kind
+
+
+def _filiform(n: int) -> LieAlgebraSpec:
+    return LieAlgebraSpec(dim=n, brackets=tuple((1, i, i + 1, F(1)) for i in range(2, n)))
+
+
+WORK_SHAPE_SPECS = [
+    *(catalog.get(name).to_spec() for name in catalog.names()),
+    _filiform(8),
+    _filiform(9),
+    LieAlgebraSpec(dim=10, brackets=((1, 2, 3, F(1)),)),
+]
+
+
+def test_betti_table_builds_only_the_lower_half():
+    for spec in WORK_SHAPE_SPECS:
+        n = spec.dim
+        coh = ce_model(spec).cohomology
+        betti = coh.betti_vector(n)
+        assert betti == betti[::-1], spec
+        assert sorted(coh._slices) == list(range((n - 1) // 2 + 1)), spec
+
+
+def test_symplectic_job_builds_no_class_basis_above_the_middle():
+    """find_symplectic reads Z^2; hard Lefschetz reads H^{<n/2} and the
+    ranks of the lower half, never a slice or class basis above them."""
+    decided = 0
+    for spec in WORK_SHAPE_SPECS:
+        model = ce_model(spec)
+        res = find_symplectic(model)
+        if not res.found:
+            continue
+        entries = hard_lefschetz(model, res.form)
+        half = model.n // 2
+        coh = model.cohomology
+        assert max(coh._slices) <= max(2, half - 1), spec
+        assert max(coh._bases, default=0) <= half - 1, spec
+        assert [e.target_betti for e in entries] == [coh.betti(half + e.k) for e in entries]
+        decided += 1
+    assert decided >= 7
+
+
+def test_caps_above_the_dimension_pad_with_zeros(capsys):
+    t2 = ce_model(LieAlgebraSpec(dim=2, brackets=()))
+    assert t2.cohomology.betti_vector(6) == [1, 2, 1, 0, 0, 0, 0]
+    assert main(["cohomology", "torus2", "--max-degree", "6", "--format", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)["cohomology"]
+    assert data["betti"] == [1, 2, 1, 0, 0, 0, 0]
+    assert data["poincare_duality"] is True and data["euler_characteristic"] == 0
