@@ -342,8 +342,7 @@ class CsplitVerdict:
     cap: int
     total: tuple[int, ...]
     expected: tuple[int, ...]
-    alpha_zero: bool
-    ring_level: bool  # alpha = 0: the total DGA is literally the tensor product
+    alpha_zero: bool  # alpha = 0: the total DGA is literally the tensor product
 
 
 def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
@@ -376,7 +375,6 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
         total=tuple(total),
         expected=tuple(expected),
         alpha_zero=alpha_zero,
-        ring_level=alpha_zero,
     )
 
 

@@ -256,7 +256,6 @@ def _csplit_sections(report: dict, verdict: bundles.CsplitVerdict) -> None:
         "total": list(verdict.total),
         "expected_convolution": list(verdict.expected),
         "alpha_zero": verdict.alpha_zero,
-        "ring_level": verdict.ring_level,
     }
 
 

@@ -6,8 +6,8 @@ contribute boundedly many exponents per degree). A DegreeSlice fixes the
 sorted monomial basis in degree k and the sparse images of d on it. One
 exact echelon of those images, fed in basis order, gives the rank of d on
 C^k and a cocycle basis of Z^k; a second one, [coboundaries | cocycles],
-picks representatives of H^k and reduces cocycles to class coordinates.
-Both depend only on the basis order, so repeated runs give identical bases.
+picks representatives of H^k and ranks sets of classes. Both depend only
+on the basis order, so repeated runs give identical bases.
 
 A DGA on n generators of degree 1 with d = 0 on C^{n-1}, the CE model of
 a unimodular Lie algebra and so of every nilpotent one, satisfies
@@ -25,7 +25,6 @@ oracle, which eliminates every degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import linalg
@@ -56,40 +55,28 @@ class DegreeSlice:
 
 
 class CohomologyBasis:
-    """Chosen representatives of H^k and reduction mod coboundaries."""
+    """Chosen representatives of H^k and the rank of sets of classes."""
 
-    def __init__(self, slice_: DegreeSlice, echelon: linalg.Echelon, n_boundary: int):
-        self.slice = slice_
-        self.degree = slice_.degree
+    def __init__(
+        self, dga: FreeDGA, degree: int, echelon: linalg.Echelon, n_boundary: int
+    ):
+        self.degree = degree
         # kept vectors: independent coboundaries, then the representatives
         self._echelon = echelon
         self._n_boundary = n_boundary
-        alg = slice_.dga.algebra
-        self.representatives = [Element(alg, z) for z in echelon.kept[n_boundary:]]
+        self.representatives = [Element(dga.algebra, z) for z in echelon.kept[n_boundary:]]
         self.betti = len(self.representatives)
-
-    def reduce(self, u: Element) -> dict[int, Fraction]:
-        """Coordinates {i: c} of a degree-k cocycle over the representatives.
-
-        Sparse: i indexes `representatives` and absent coordinates are zero.
-        The kept vectors, the images of d on C^{k-1} and then the cocycle
-        basis, span exactly Z^k once d^2 = 0. So a non-cocycle, or a
-        monomial of another degree, leaves a residual and is refused.
-        """
-        rest, combination = self._echelon.residual(u.terms)
-        if rest:
-            raise StructuralError(f"not a cocycle of degree {self.degree}")
-        first = self._n_boundary
-        return {q - first: c for q, c in sorted(combination.items()) if q >= first}
 
     def rank_of(self, cocycles) -> int:
         """Rank of the classes of degree-k cocycles, without their coordinates.
 
         Each cocycle is eliminated once against [coboundaries | cocycle
-        basis]. Its factors over the reduced kept vectors at the
-        representative positions are its class coordinates under one
-        invertible triangular change (see linalg.Echelon.eliminate), so they
-        span a space of the same rank. A non-cocycle is refused as in reduce.
+        basis], which spans exactly Z^k once d^2 = 0. Its factors over the
+        reduced kept vectors at the representative positions are its class
+        coordinates under one invertible triangular change (see
+        linalg.Echelon.eliminate), so they span a space of the same rank. A
+        non-cocycle, or a monomial of another degree, leaves a remainder and
+        is refused.
         """
         first = self._n_boundary
         classes = linalg.Echelon()
@@ -99,13 +86,6 @@ class CohomologyBasis:
                 raise StructuralError(f"not a cocycle of degree {self.degree}")
             classes.add({q: f for q, f in factors.items() if q >= first})
         return len(classes.kept)
-
-    def class_element(self, coords: dict[int, Fraction]) -> Element:
-        """The cocycle sum c * representatives[i] over sparse coordinates."""
-        out = self.slice.dga.algebra.zero()
-        for i, c in coords.items():
-            out = out + self.representatives[i].scale(c)
-        return out
 
 
 class Cohomology:
@@ -192,7 +172,6 @@ class Cohomology:
     def basis(self, k: int) -> CohomologyBasis:
         """Representative cocycles for H^k, deterministic via echelon order."""
         if k not in self._bases:
-            s = self.slice(k)
             cocycles = self._differential(k)[1]
             if k:
                 # the images of C^{k-1}, in basis order, are the coboundaries
@@ -203,15 +182,8 @@ class Cohomology:
             n_boundary = len(echelon.kept)
             for z in cocycles:
                 echelon.add(z)
-            self._bases[k] = CohomologyBasis(s, echelon, n_boundary)
+            self._bases[k] = CohomologyBasis(self.dga, k, echelon, n_boundary)
         return self._bases[k]
-
-    def cup(self, p: int, coords_p, q: int, coords_q) -> dict[int, Fraction]:
-        """Product of classes given by sparse coordinates, reduced at degree
-        p+q against its basis to sparse coordinates."""
-        u = self.basis(p).class_element(coords_p)
-        v = self.basis(q).class_element(coords_q)
-        return self.basis(p + q).reduce(u * v)
 
     def euler_characteristic(self, cap: int) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_vector(cap)))

@@ -113,6 +113,8 @@ def parse_document(text: str) -> AlgebraDocument:
         raise DocumentError(f"not valid JSON: {exc}") from None
     except ValueError:  # an integer past the interpreter's digit limit
         raise DocumentError("not valid JSON: an integer has too many digits") from None
+    except RecursionError:  # arrays or objects nested past the parser's stack
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("top level must be a JSON object")
     unknown = set(raw) - {"name", "dim", "brackets", "omega"}

@@ -5,15 +5,14 @@ rational: an int when integral, else a Fraction (exterior.exact); absent
 indices are zero. The one division is a pivot's inverse, so integral
 input stays in ints while the pivots it meets are +-1. `Echelon` keeps,
 in arrival order, the vectors that enlarge the span of those kept before
-them; `add` only says whether it kept a vector. A vector in the span has
-a unique combination of the kept ones, built only on request: `kernel`
-is the one reader of the combinations of dependent columns, `residual`
-gives the combination of any vector, and `eliminate` gives its factors
-over the reduced kept vectors, which is all a rank needs. Which vectors
-are kept and those combinations depend only on the arrival order, never
-on how elimination proceeds, so the kernel bases, representatives and
-coordinates built on top are byte-stable. A rank is the number of vectors
-an `Echelon` keeps; `kernel` takes sparse columns.
+them; `add` only says whether it kept a vector, and `eliminate` gives a
+vector's factors over the reduced kept vectors, which is all a rank needs.
+`kernel` takes sparse columns and is the one place that rewrites factors
+as a combination of the kept columns, for its dependent ones. Which
+vectors are kept and those combinations depend only on the arrival order,
+never on how elimination proceeds, so the kernel bases and representatives
+built on top are byte-stable. A rank is the number of vectors an
+`Echelon` keeps.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ class Echelon:
         self.kept: list[dict] = []
         # pivot -> (kept position, reduced vector without its pivot entry)
         self._pivots: dict = {}
-        # per kept position: (1 / pivot entry before scaling,
-        #                      {earlier kept position: factor cleared})
-        self._steps: list[tuple[Fraction, dict[int, Fraction]]] = []
 
     def eliminate(self, vector: dict):
         """(rest, factors): rest = vector - sum factors[q] * reduced[q].
@@ -79,61 +75,54 @@ class Echelon:
                         del rest[i]
         return rest, factors
 
-    def _combination(self, factors: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Rewrite a combination of reduced vectors over the kept vectors."""
-        factors = dict(factors)
-        combination = {}
-        # reduced[q] = inv * (kept[q] - sum_{r < q} earlier[r] * reduced[r])
-        for q in range(max(factors, default=-1), -1, -1):
-            if not factors:
-                break
-            f = factors.pop(q, None)
-            if not f:
-                continue
-            inv, earlier = self._steps[q]
-            a = f * inv
-            combination[q] = a
-            for r, g in earlier.items():
-                factors[r] = factors.get(r, ZERO) - a * g
-        return combination
-
-    def residual(self, vector: dict) -> tuple[dict, dict[int, Fraction]]:
-        """(rest, combination) with vector = sum combination[q] * kept[q] + rest.
-
-        rest is zero at every pivot; it is empty exactly when the vector
-        lies in the span of the kept vectors.
-        """
-        rest, factors = self.eliminate(vector)
-        return rest, self._combination(factors)
-
     def add(self, vector: dict) -> bool:
-        """Keep the vector if it enlarges the span; return whether it did.
+        """Keep the vector if it enlarges the span; return whether it did."""
+        return self._keep(vector, self.eliminate(vector)[0]) is not None
 
-        A dependent vector's combination over the kept vectors is not
-        built; kernel() and residual() are the ways to ask for it.
-        """
-        return self._keep(vector, *self.eliminate(vector))
-
-    def _keep(self, vector: dict, rest: dict, factors: dict[int, Fraction]) -> bool:
-        """Keep the vector given its elimination, unless rest is empty."""
+    def _keep(self, vector: dict, rest: dict) -> Fraction | None:
+        """Keep the vector given its remainder, unless the remainder is
+        empty; return the inverse of its pivot entry, or None if not kept."""
         if not rest:
-            return False
+            return None
         p = min(rest)
         x = rest.pop(p)
         # +-1 is its own inverse; never int / int, which is a float
         inv = int(x) if x in (1, -1) else exact(Fraction(1) / x)
         tail = {i: exact(y * inv) for i, y in rest.items()}
         self._pivots[p] = (len(self.kept), tail)
-        self._steps.append((inv, factors))
         self.kept.append(vector)
-        return True
+        return inv
+
+
+def _combination(steps, factors: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Rewrite a combination of reduced vectors over the kept vectors.
+
+    steps[q] is (1 / pivot entry of kept vector q before scaling, its
+    factors over the reduced vectors before it).
+    """
+    factors = dict(factors)
+    combination = {}
+    # reduced[q] = inv * (kept[q] - sum_{r < q} earlier[r] * reduced[r])
+    for q in range(max(factors, default=-1), -1, -1):
+        if not factors:
+            break
+        f = factors.pop(q, None)
+        if not f:
+            continue
+        inv, earlier = steps[q]
+        a = f * inv
+        combination[q] = a
+        for r, g in earlier.items():
+            factors[r] = factors.get(r, ZERO) - a * g
+    return combination
 
 
 def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
     """Echelon of the sparse columns and a basis of their right kernel.
 
     Each column is eliminated once, and its combination over the pivot
-    columns is built only when it is dependent.
+    columns is built only when it is dependent, from the elimination steps
+    of the pivot columns, which only this function keeps.
 
     A column is free when it lies in the span of the columns before it. Its
     kernel vector has a 1 there, 0 at every other free column, and minus the
@@ -143,15 +132,17 @@ def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
     """
     echelon = Echelon()
     pivot_columns: list[int] = []
+    steps: list[tuple[Fraction, dict[int, Fraction]]] = []
     basis = []
     for j, column in enumerate(columns):
         rest, factors = echelon.eliminate(column)
-        if echelon._keep(column, rest, factors):
+        inv = echelon._keep(column, rest)
+        if inv is not None:
             pivot_columns.append(j)
+            steps.append((inv, factors))
             continue
-        combination = echelon._combination(factors)
+        combination = _combination(steps, factors)
         v = {pivot_columns[q]: -combination[q] for q in sorted(combination)}
         v[j] = ONE
         basis.append(v)
     return echelon, basis
-

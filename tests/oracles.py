@@ -22,9 +22,10 @@ symplectic decision formed by Element products, with independence decided
 by its own elimination. The
 interior product of a 2-form is here as the literal formula
 sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
-(a_ij); neither goes through exterior.contract. The hard Lefschetz ranks
-are here as ranks of dense stacks of coboundaries and omega^k times a
-naive cocycle basis, with no class basis.
+(a_ij); neither goes through exterior.contract. The rank of a set of
+classes is here as the rank of a dense stack of coboundaries and the
+cocycles, less that of the coboundaries, with no class basis; the hard
+Lefschetz ranks are that rank for omega^k times a naive cocycle basis.
 """
 
 from __future__ import annotations
@@ -476,35 +477,45 @@ def product_chain_naive(omegas: list[Element], half: int) -> list[list[tuple[int
     return labels
 
 
+def class_rank_naive(dga: FreeDGA, k: int, cocycles: list[Element]) -> int:
+    """Rank of the classes of degree-k cocycles, densely.
+
+    With B the image of d on C^{k-1} and Z the cocycles as dense rows over
+    the naive degree-k basis, the rank is rank_naive([B ; Z]) - rank_naive(B).
+    Matrices come from differential_matrix and the naive enumeration; no
+    class basis, echelon or nilsplit.linalg is read.
+    """
+    index = {key: r for r, key in enumerate(monomials_naive(dga.algebra, k))}
+    d_in, _ = differential_matrix(dga, k - 1)
+    boundaries = [list(col) for col in zip(*d_in)]
+    rows = []
+    for z in cocycles:
+        row = [ZERO] * len(index)
+        for key, c in z.terms.items():
+            row[index[key]] = c
+        rows.append(row)
+    return rank_naive(boundaries + rows) - rank_naive(boundaries)
+
+
 def lefschetz_ranks_naive(dga: FreeDGA, omega: Element, half: int) -> list[int]:
     """Rank of [omega]^k : H^{half-k} -> H^{half+k} for k = 0..half, densely.
 
-    With B^q the image of d on C^{q-1} and Z^p from nullspace_naive of d on
-    C^p, the rank is rank_naive([B^q ; omega^k Z^p]) - rank_naive(B^q).
-    Matrices come from differential_matrix and the naive enumeration; no
-    class basis, echelon or nilsplit.linalg is read.
+    With Z^p from nullspace_naive of d on C^p, the rank is the class rank
+    of omega^k Z^p in degree half + k by class_rank_naive. No class basis,
+    echelon or nilsplit.linalg is read.
     """
     alg = dga.algebra
     ranks = []
     for k in range(half + 1):
-        p, q = half - k, half + k
+        p = half - k
         d_p, dim_p = differential_matrix(dga, p)
         source = monomials_naive(alg, p)
         cocycles = [
             Element(alg, {key: c for key, c in zip(source, v) if c})
             for v in nullspace_naive(d_p, dim_p)
         ]
-        d_q, _ = differential_matrix(dga, q - 1)
-        boundaries = [list(col) for col in zip(*d_q)]
-        index = {key: r for r, key in enumerate(monomials_naive(alg, q))}
         omega_k = alg.one()
         for _ in range(k):
             omega_k = omega_k * omega
-        images = []
-        for z in cocycles:
-            row = [ZERO] * len(index)
-            for key, c in (omega_k * z).terms.items():
-                row[index[key]] = c
-            images.append(row)
-        ranks.append(rank_naive(boundaries + images) - rank_naive(boundaries))
+        ranks.append(class_rank_naive(dga, half + k, [omega_k * z for z in cocycles]))
     return ranks

@@ -285,12 +285,12 @@ def test_euler_characteristic_vanishes_when_top_is_verified_zero(t2, kt):
 def test_csplit_verdicts(t2, kt):
     product = build_twisted(kt, sphere_base(), [[0]] * 4)
     good = csplit_compare(product)
-    assert good.c_splits and good.ring_level and good.alpha_zero
+    assert good.c_splits and good.alpha_zero
     # good.total is the convolution itself at alpha = 0; the total model is not
     assert tuple(betti_vector_naive(product.total, good.cap)) == good.expected
     twisted = build_twisted(t2, sphere_base(), [[1], [0]])
     bad = csplit_compare(twisted)
-    assert not bad.c_splits and not bad.ring_level
+    assert not bad.c_splits and not bad.alpha_zero
     assert bad.total == (1, 1, 0, 1, 1)
     assert bad.total == tuple(betti_vector_naive(twisted.total, bad.cap))
     assert bad.expected == (1, 2, 2, 2, 1)
@@ -357,7 +357,7 @@ def test_pullback_zero_matrix_gives_product_model(kt):
     tm = build_twisted(kt, base, [[0, 0]] * 4)
     sub = pullback_column(tm, 1)
     assert sub.alpha_is_zero()
-    assert csplit_compare(sub).ring_level
+    assert csplit_compare(sub).alpha_zero
 
 
 def test_pullback_commutation_identity_random_valid_alphas(kt):

@@ -94,6 +94,22 @@ def test_cli_refuses_a_json_integer_past_the_digit_limit(tmp_path, capsys, digit
     assert err == "error: not valid JSON: an integer has too many digits\n"
 
 
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize("where", ["document", "omega"])
+def test_cli_refuses_deeply_nested_json(tmp_path, capsys, command, where):
+    """Nesting past the JSON parser's stack is a refusal with exit 2 and one
+    error line, never a RecursionError traceback."""
+    text = DEEP if where == "document" else '{"name": "kt", "dim": 4, "brackets": [], "omega": ' + DEEP + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: not valid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
@@ -350,7 +366,8 @@ def test_cli_csplit_solve_kt(capsys):
     assert data["forcing"]["solution_dimension"] == 0
     assert data["total_betti"] == [1, 3, 5, 6, 5, 3, 1]
     assert data["csplit"]["c_splits"] is True
-    assert data["csplit"]["ring_level"] is True
+    assert data["csplit"]["alpha_zero"] is True
+    assert set(data["csplit"]) == {"alpha_zero", "c_splits", "cap", "expected_convolution", "total"}
     assert data["status"] == "forced-zero"
 
 

@@ -95,8 +95,9 @@ def test_nullspace_is_the_reduced_echelon_kernel(rows):
         assert [v[g] for g in free] == [int(g == f) for g in free]
 
 
-def test_echelon_add_reports_span_growth_and_residual_recovers_combinations():
-    """add() says whether a vector was kept; residual() still writes the rest."""
+def test_echelon_add_reports_span_growth_and_kernel_matches_nullspace():
+    """add() says whether a vector was kept; kernel() of the same vectors as
+    columns writes each dependent one over the kept ones before it."""
     rng = random.Random(808)
     for _ in range(100):
         echelon = linalg.Echelon()
@@ -113,14 +114,10 @@ def test_echelon_add_reports_span_growth_and_residual_recovers_combinations():
             if grows:
                 kept.append(v)
         assert echelon.kept == kept
-        for v in vectors:
-            rest, combination = echelon.residual(v)
-            assert not rest
-            total = {}
-            for q, c in combination.items():
-                for i, x in echelon.kept[q].items():
-                    total[i] = total.get(i, 0) + c * x
-            assert {i: x for i, x in total.items() if x} == v
+        _, kernel = linalg.kernel(vectors)
+        rows = [[v.get(i, 0) for v in vectors] for i in range(5)]
+        dense = [[u.get(j, 0) for j in range(len(vectors))] for u in kernel]
+        assert dense == nullspace_naive(rows, len(vectors))
 
 
 def _columns_with_non_unit_leads(rng, nrows, ncols):
@@ -142,9 +139,9 @@ def _is_exact(c):
 
 
 def test_non_unit_pivots_give_the_same_exact_kernel_from_ints_and_fractions():
-    """Pivots +-2 and +-3 divide: the kernel, its kept columns and every
-    residual combination are exact and the same whether the columns come as
-    ints or as Fractions, and they match the dense oracles."""
+    """Pivots +-2 and +-3 divide: the kernel and its kept columns, alone and
+    widened by a random column, are exact and the same whether the columns
+    come as ints or as Fractions, and they match the dense oracles."""
     rng = random.Random(1968)
     fractional = 0
     for _ in range(80):
@@ -165,13 +162,11 @@ def test_non_unit_pivots_give_the_same_exact_kernel_from_ints_and_fractions():
             results.append((kept, kernel))
             for _ in range(3):
                 vector = {i: x for i in range(nrows) if (x := rng.randint(-3, 3))}
-                rest, combination = echelon.residual(vector)
-                assert all(_is_exact(c) for c in [*rest.values(), *combination.values()])
-                rebuilt = dict(rest)
-                for q, c in combination.items():
-                    for i, x in echelon.kept[q].items():
-                        rebuilt[i] = rebuilt.get(i, 0) + c * x
-                assert {i: x for i, x in rebuilt.items() if x} == vector
+                _, wider = linalg.kernel([*columns, vector])
+                assert all(_is_exact(x) for v in wider for x in v.values())
+                widened = [row + [vector.get(i, 0)] for i, row in enumerate(rows)]
+                dense_wider = [[v.get(j, 0) for j in range(ncols + 1)] for v in wider]
+                assert dense_wider == nullspace_naive(widened, ncols + 1)
         assert results[0] == results[1]
         fractional += any(type(x) is Fraction for v in results[0][1] for x in v.values())
     assert fractional >= 20, fractional  # the divisions really leave Fractions
