@@ -7,8 +7,10 @@ form: indices strictly ascending, exponents positive, and exponent <= 1
 for odd-degree generators since odd squares vanish. An Element maps
 monomial keys to nonzero exact rationals, an int when integral and a
 Fraction otherwise (see exact); inhomogeneous elements are allowed and
-list their degrees. Products merge monomial keys with their Koszul signs
-in merge_monomials, the inner loop of every product downstream.
+list their degrees. Element products merge monomial keys with their
+Koszul signs in merge_monomials, which is also the inner loop of the
+Derivation; the symplectic search and hard Lefschetz multiply CE-model
+elements on bit-set monomials instead (nilsplit.symplectic).
 
 A Derivation computes d of a monomial from its first block and d of the
 rest by the Leibniz rule, merging keys straight into one term map, and

@@ -25,6 +25,14 @@ lie, and the first grid point of full rank is returned. The chain runs
 on monomials as bit sets of generators with integer coefficients: a
 product that vanishes never reaches the echelon, and the top level ends at
 its first nonzero product, since top degree is a line.
+
+Hard Lefschetz for a certified form ranks [omega]^k : H^{n/2-k} ->
+H^{n/2+k} as the pairing <omega^k a_i, a_j> over the representatives a_j
+of H^{n/2-k}, which Poincare duality makes perfect. Its products and the
+dual table of the pairing are bit sets too, and every product here, in
+the chain and in hard Lefschetz, is one step (_times): a left factor
+listed by its terms times a bit-set element, with the Koszul sign read
+off one popcount per pair of terms. No Element product is formed.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from math import lcm
 from . import linalg
 from .errors import StructuralError
 from .cohomology import poincare_check
-from .exterior import Element, contraction_columns, merge_monomials
+from .exterior import Element, contraction_columns
 from .lie_algebras import CEModel
 
 ZERO = 0
@@ -151,27 +159,73 @@ def closed_two_form_basis(model: CEModel) -> list[Element]:
     return model.cohomology.cocycles(2)
 
 
+def _bits(a: Element) -> dict:
+    """An element of a CE model as a map from bit-set monomials to its
+    coefficients: every generator has degree 1, so a monomial is the set of
+    its generators."""
+    return {sum(1 << i for i in key[::2]): c for key, c in a.terms.items()}
+
+
+def _odd_above(s: int) -> int:
+    """The bit set of the generators b with an odd number of generators of
+    s above b."""
+    mask = above = 0
+    for b in range(s.bit_length() - 1, -1, -1):
+        if above:
+            mask |= 1 << b
+        above ^= s >> b & 1
+    return mask
+
+
+def _factor(u: dict) -> list[tuple]:
+    """The terms c x_S of a bit-set element as (S, _odd_above(S), c), the
+    left factor of _times."""
+    return [(s, _odd_above(s), c) for s, c in u.items()]
+
+
+def _bit_form(omega: Element) -> list[tuple]:
+    """A 2-form as the left factor of _times, scaled by the lcm of its
+    denominators so that every coefficient is an integer. The scale
+    multiplies each product by a nonzero constant, so no rank and no linear
+    dependence changes."""
+    den = lcm(*(c.denominator for c in omega.terms.values()))
+    return _factor({s: int(c * den) for s, c in _bits(omega).items()})
+
+
+def _times(factor, w: dict) -> dict:
+    """u * w for u given as _factor terms and a bit-set element w.
+
+    x_S x_T is zero when S meets T; otherwise it is (-1)^|T cap M| x_{S+T},
+    where M = _odd_above(S): each generator b of T moves past the
+    generators of S above b. For a term c x_i x_j of a 2-form, M is
+    {i, ..., j - 1}, so the sign counts the generators of T strictly
+    between i and j. This is the one product step of the W_j chain and of
+    hard Lefschetz.
+    """
+    p = {}
+    for s, mask, c in factor:
+        for t, x in w.items():
+            if s & t:
+                continue
+            key = s | t
+            y = p.get(key, 0) + (-c * x if (t & mask).bit_count() & 1 else c * x)
+            if y:
+                p[key] = y
+            else:
+                del p[key]
+    return p
+
+
 def _products(level, forms):
     """(label + (i,), omega_i * w) over the kept (label, w) of a level and
     the basis forms in turn, leaving out the products that vanish.
 
-    w maps bit-set monomials to integers, and forms[i] lists the terms
-    c x_i x_j of omega_i as (bits of {i, j}, bits strictly between i and j,
-    c).
+    w maps bit-set monomials to integers, and forms[i] is omega_i as
+    _bit_form gives it.
     """
     for label, w in level:
         for i, form in enumerate(forms):
-            p = {}
-            for pair, between, c in form:
-                for s, x in w.items():
-                    if s & pair:
-                        continue
-                    key = s | pair
-                    y = p.get(key, 0) + (-c * x if (s & between).bit_count() & 1 else c * x)
-                    if y:
-                        p[key] = y
-                    else:
-                        del p[key]
+            p = _times(form, w)
             if p:
                 yield label + (i,), p
 
@@ -184,26 +238,16 @@ def _product_chain(omegas: list[Element], half: int):
     empty level.
 
     Every CE generator has degree 1, so a monomial is the bit set S of its
-    generators. A term c x_i x_j times x_S is zero when S meets {i, j};
-    otherwise it is (-1)^|S cap (i, j)| c x_{S + {i, j}}, where (i, j) is
-    the set of generators strictly between i and j: x_j moves past the
-    generators of S below j and x_i past those below i, so those below i
-    are passed twice. Each basis form is scaled to integer coefficients,
-    which scales its products and so changes no linear dependence among
-    them. Which products an echelon keeps depends only on their order and
-    their dependence, not on how the coordinates are named, so the labels
-    are those of the products of the forms themselves. Products that
-    vanish never reach the echelon. Top degree is a line, so W_half keeps
-    exactly its first nonzero product: that level stops there, with no
-    echelon.
+    generators, and each product is one _times step. Each basis form is
+    scaled to integer coefficients, which scales its products and so
+    changes no linear dependence among them. Which products an echelon
+    keeps depends only on their order and their dependence, not on how the
+    coordinates are named, so the labels are those of the products of the
+    forms themselves. Products that vanish never reach the echelon. Top
+    degree is a line, so W_half keeps exactly its first nonzero product:
+    that level stops there, with no echelon.
     """
-    forms = []
-    for omega in omegas:
-        den = lcm(*(c.denominator for c in omega.terms.values()))
-        form = []
-        for (i, _, j, _), c in omega.terms.items():
-            form.append((1 << i | 1 << j, (1 << j) - (2 << i), int(c * den)))
-        forms.append(form)
+    forms = [_bit_form(omega) for omega in omegas]
     level = [((), {0: 1})]
     for _ in range(1, half):
         echelon = linalg.Echelon()
@@ -368,25 +412,26 @@ class LefschetzEntry:
     isomorphism: bool
 
 
-def _pairing_rank(products, partners: list[Element], algebra) -> int:
-    """Rank of the matrix G_ij = <u_i, a_j> over products u_i, partners a_j.
+def _pairing_rank(products, partners: list[dict], n: int) -> int:
+    """Rank of the matrix G_ij = <u_i, a_j> over products u_i, partners a_j,
+    all bit-set elements on n generators.
 
-    <u, v> is the coefficient of x_1...x_n in uv. Each term c x_m of a_j is
-    filed under the complementary monomial x_m' with the sign of
-    x_m' x_m = +-x_1...x_n, so one pass over the terms of u_i fills row i.
+    <u, v> is the coefficient of x_1...x_n in uv. Each term c x_S of a_j is
+    filed under the complementary monomial x_C, C = full ^ S, with the sign
+    of x_C x_S = +-x_1...x_n, the parity of |S cap _odd_above(C)| as in
+    _times. One pass over the terms of u_i then fills row i.
     """
-    n, parity = len(algebra.generators), algebra.parity
-    dual: dict[tuple, list] = {}
+    full = (1 << n) - 1
+    dual: dict[int, list] = {}
     for j, a in enumerate(partners):
-        for key, c in a.terms.items():
-            held = set(key[::2])
-            comp = tuple(x for i in range(n) if i not in held for x in (i, 1))
-            sign, _ = merge_monomials(comp, key, parity)
-            dual.setdefault(comp, []).append((j, c if sign > 0 else -c))
+        for s, c in a.items():
+            comp = full ^ s
+            sign = (s & _odd_above(comp)).bit_count() & 1
+            dual.setdefault(comp, []).append((j, -c if sign else c))
     rows = linalg.Echelon()
     for u in products:
         row = {}
-        for key, e in u.terms.items():
+        for key, e in u.items():
             for j, c in dual.get(key, ()):
                 y = row.get(j, ZERO) + e * c
                 if y:
@@ -409,6 +454,12 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     of H^{h-k}. The rank of [omega]^k is thus the rank of the b x b matrix
     <omega^k a_i, a_j> (see _pairing_rank), and no class basis above
     degree h - 1 is built. k = 0 is the identity on H^h, of rank b_h.
+
+    Everything is on bit-set monomials, with the one product step _times:
+    omega is scaled to integer coefficients (the rank of a matrix times a
+    nonzero constant is unchanged), omega^k = omega * omega^{k-1} is formed
+    once per k, each representative is converted to a bit-set map once,
+    and omega^k a_i is one product of the two.
     """
     if sf.model.algebra is not model.algebra:
         raise StructuralError("form and model live over different generator sets")
@@ -419,13 +470,16 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
         raise StructuralError("hard Lefschetz needs an even-dimensional model")
     if not poincare_check(coh, n):
         raise StructuralError("hard Lefschetz needs Poincare duality: d != 0 on C^(n-1)")
+    form = _bit_form(sf.omega)
+    power = {0: 1}
     entries = []
     for k in range(half + 1):
         p, q = half - k, half + k
         if k:
-            reps = coh.basis(p).representatives
-            omega_k = sf.omega.power(k)
-            rk = _pairing_rank((omega_k * a for a in reps), reps, model.algebra)
+            reps = [_bits(a) for a in coh.basis(p).representatives]
+            power = _times(form, power)
+            factor = _factor(power)
+            rk = _pairing_rank((_times(factor, a) for a in reps), reps, n)
             bp = len(reps)
         else:
             bp = rk = coh.betti(half)

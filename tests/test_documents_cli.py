@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import lefschetz_ranks_naive
 
 from nilsplit import catalog
 from nilsplit.cli import main
@@ -14,6 +15,8 @@ from nilsplit.documents import (
     parse_document,
     parse_rational,
 )
+from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
+from nilsplit.symplectic import SymplecticForm
 
 F = Fraction
 
@@ -554,6 +557,33 @@ def test_cli_omega_from_file_flag(tmp_path, capsys):
     )
     assert code == 2
     assert "no omega field" in err
+
+
+def test_cli_hard_lefschetz_of_a_rational_document_form(tmp_path, capsys):
+    """A document omega with non-unit rational coefficients on h3 + R^5:
+    the CLI's hard Lefschetz ranks equal the dense oracle's."""
+    coeffs = [
+        (1, 2, "-1/2"), (1, 3, "3/2"), (1, 8, "-9/4"), (2, 3, "2/3"),
+        (2, 4, "2/5"), (4, 5, "3/7"), (5, 6, "7/3"), (7, 8, "5/4"),
+    ]
+    doc = tmp_path / "h3-r5-rational.json"
+    doc.write_text(json.dumps({
+        "name": "h3-r5",
+        "dim": 8,
+        "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}],
+        "omega": [{"i": i, "j": j, "c": c} for i, j, c in coeffs],
+    }))
+    code, out, _ = run_cli(
+        capsys, "symplectic", str(doc), "--omega-from-file", "--format", "machine"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["omega"]["source"] == "document"
+    model = ce_model(LieAlgebraSpec(dim=8, brackets=((1, 2, 3, F(1)),)))
+    omega = SymplecticForm.from_coeffs(model, [(i, j, F(c)) for i, j, c in coeffs]).omega
+    table = data["hard_lefschetz"]["table"]
+    assert [e["rank"] for e in table] == lefschetz_ranks_naive(model.dga, omega, 4)
+    assert [e["rank"] < e["betti"] for e in table] == [False, True, True, True, False]
 
 
 def test_cli_document_omega_not_symplectic_exit3(tmp_path, capsys):

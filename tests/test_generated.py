@@ -10,6 +10,8 @@ up often enough to test the negative decision too.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 from oracles import (
@@ -19,6 +21,7 @@ from oracles import (
     lefschetz_ranks_naive,
     nullspace_naive,
     product_chain_naive,
+    rank_naive,
     skew_matrix,
     symplectic_by_lattice,
 )
@@ -37,9 +40,13 @@ from nilsplit.exterior import Element
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
 from nilsplit.symplectic import (
     SymplecticForm,
+    _bit_form,
     _chain_search,
     _common_kernel_vector,
+    _factor,
+    _pairing_rank,
     _product_chain,
+    _times,
     closed_two_form_basis,
     find_symplectic,
     hard_lefschetz,
@@ -237,6 +244,83 @@ def test_product_chain_matches_element_product_oracle(catalog_models, corpus, di
     assert compared >= 30 and multi >= 30 and fractional >= 3, (compared, multi, fractional)
 
 
+def _bit_map(u: Element) -> dict:
+    """u with each normal-form key (i0, 1, i1, 1, ...) as the bit set {i0, i1, ...}."""
+    return {sum(1 << i for i in key[::2]): c for key, c in u.terms.items()}
+
+
+def _random_element(rng, model, degree, keys=()):
+    """A seeded nonzero element of the given degree on up to 4 monomials, the
+    given keys first, each with a nonzero int or Fraction coefficient."""
+    monomials = [
+        tuple(x for i in chosen for x in (i, 1)) for chosen in combinations(range(model.n), degree)
+    ]
+    keys = list(keys) + rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+    terms = {}
+    for key in keys[:4]:
+        terms[key] = rng.choice([rng.choice([-3, -2, -1, 1, 2, 3]), F(rng.choice([-5, 1, 3]), 2)])
+    return model.algebra.element(terms)
+
+
+def test_bit_set_products_match_element_products(catalog_models, corpus, dim8_pairs):
+    """The bit-set product step equals Element.__mul__ once keys are bit sets.
+
+    On the catalog, the corpus and the sheared dim-8 bases, with int and
+    Fraction coefficients: the first Z^2 basis forms and seeded 2-forms
+    times seeded elements of every degree 0..n; omega^k built by the step
+    itself, then omega^k * a with omega^k as the left factor; _bit_form as
+    omega scaled by the lcm of its denominators; and the rank of the pairing
+    <u_i, a_j> against the dense rank of the top coefficients of the
+    Element products u_i * a_j, where a_j holds complements of terms of
+    the u_i so that the pairing is not all zero.
+    """
+    rng = random.Random(1913)
+    models = [*catalog_models.values(), *corpus, *(ce_model(other) for _, other in dim8_pairs)]
+    seen = set()
+    products = powers = pairings = 0
+    for model in models:
+        n, alg = model.n, model.algebra
+        top = tuple(x for i in range(n) for x in (i, 1))
+        forms = closed_two_form_basis(model)[:2] + [_random_element(rng, model, 2) for _ in range(2)]
+        for omega in forms:
+            if omega.is_zero():
+                continue
+            scale = lcm(*(c.denominator for c in omega.terms.values()))
+            assert _bit_form(omega) == _factor(_bit_map(omega.scale(scale))), (alg, omega)
+            unit = _factor(_bit_map(omega))
+            for degree in range(n + 1):
+                a = _random_element(rng, model, degree)
+                want = _bit_map(omega * a)
+                assert _times(unit, _bit_map(a)) == want, (alg, omega, a)
+                seen.update(type(c) for c in [*omega.terms.values(), *a.terms.values()])
+                products += bool(want)
+            power, omega_k = {0: 1}, alg.one()
+            for k in range(1, n // 2 + 1):
+                power, omega_k = _times(unit, power), omega_k * omega
+                assert power == _bit_map(omega_k), (alg, omega, k)
+                a = _random_element(rng, model, rng.randint(0, n - 2 * k))
+                want = _bit_map(omega_k * a)
+                assert _times(_factor(power), _bit_map(a)) == want, (alg, omega, k, a)
+                powers += len(power) > 1 and bool(want)
+        for degree in range(n + 1):
+            us = [_random_element(rng, model, degree) for _ in range(3)]
+            complements = [
+                tuple(x for i in range(n) if i not in key[::2] for x in (i, 1))
+                for u in us
+                for key in u.terms
+            ]
+            vs = [
+                _random_element(rng, model, n - degree, rng.sample(complements, 2))
+                for _ in range(3)
+            ]
+            matrix = [[(u * v).coefficient(top) for v in vs] for u in us]
+            got = _pairing_rank([_bit_map(u) for u in us], [_bit_map(v) for v in vs], n)
+            assert got == rank_naive(matrix), (alg, us, vs)
+            pairings += got > 0
+    assert seen == {int, Fraction}, seen
+    assert products >= 700 and powers >= 80 and pairings >= 350, (products, powers, pairings)
+
+
 def test_certificates_agree_with_product_chain_oracle(catalog_models, corpus, dim8_pairs):
     """find_symplectic against its own last resort, the product chain.
 
@@ -298,6 +382,46 @@ def test_hard_lefschetz_matches_dense_oracle(
         defects += sum(e.rank < e.source_betti for e in entries)
     assert 8 in dims and 6 in dims and len(cases) >= 15, dims
     assert defects >= 10  # most of these forms fail hard Lefschetz somewhere
+
+
+def test_hard_lefschetz_depends_only_on_the_class(
+    catalog_models, symplectic_forms, corpus, searches, dim8_pairs
+):
+    """hard_lefschetz(t omega + d beta) = hard_lefschetz(omega), with no oracle.
+
+    Cup with [omega]^k depends only on the class [omega] up to a nonzero
+    scale, so t = 3/2 and seeded 1-forms beta leave the table unchanged
+    wherever t omega + d beta is still symplectic (only certified forms are
+    kept). The forms are the catalog's, those found on the corpus and those
+    found on the sheared dim-8 algebras: non-unit coefficients and, through
+    d beta, forms denser than the matching or grid forms.
+    """
+    rng = random.Random(1988)
+    cases = [(catalog_models[name], sf) for name, sf in symplectic_forms.items()]
+    cases += [(model, res.form) for model, res in zip(corpus, searches) if res.found]
+    for _, other in dim8_pairs:
+        model = ce_model(other)
+        res = find_symplectic(model)
+        if res.found:
+            cases.append((model, res.form))
+    kept = denser = 0
+    for model, sf in cases:
+        table = hard_lefschetz(model, sf)
+        betas = [model.algebra.zero()]
+        betas += [
+            model.algebra.element({(i, 1): rng.randint(-3, 3) for i in range(model.n)})
+            for _ in range(3)
+        ]
+        for beta in betas:
+            omega = sf.omega.scale(F(3, 2)) + model.d(beta)
+            if not is_symplectic(model, omega).symplectic:
+                continue
+            got = hard_lefschetz(model, SymplecticForm(model, omega))
+            assert got == table, (model.spec, sf, beta)
+            kept += 1
+            denser += len(omega.terms) > len(sf.omega.terms)
+    assert {model.n for model, _ in cases} >= {4, 6, 8}, [model.n for model, _ in cases]
+    assert kept >= 100 and denser >= 60, (kept, denser)
 
 
 def _assert_exact(values, where, integral_as_int=False):
