@@ -10,7 +10,9 @@
 Positional inputs are file paths first, then built-in catalog names.
 Every subcommand accepts --format human|machine. The symplectic search is
 deterministic; symplectic and csplit still accept --seed N and ignore it,
-so older command lines keep working. Exit codes:
+so older command lines keep working. Each subcommand returns its report
+and exit code, and main prints the report once; only catalog --emit and
+the human catalog --list write plain text themselves. Exit codes:
 0 success, 2 input or validation error, 3 no symplectic structure (the
 document's omega fails certification, or none exists), 4 twisting matrix
 incompatible with the fiber differential.
@@ -65,10 +67,6 @@ def _check_max_degree(args) -> None:
         raise DocumentError(f"--max-degree must be nonnegative, got {args.max_degree}")
 
 
-def _emit(report: dict, args) -> None:
-    sys.stdout.write(reports.render(report, args.format))
-
-
 def _validation_section(report: lie_algebras.ValidationReport) -> dict:
     return {
         "ok": report.ok,
@@ -85,16 +83,17 @@ def _validation_section(report: lie_algebras.ValidationReport) -> dict:
     }
 
 
-def _validated_model(doc: AlgebraDocument, report: dict, args):
-    """ce model or None; fills the report's validation, prints it on failure."""
+def _model_job(args):
+    """(doc, report, ce); ce is None when the report's validation fails."""
+    doc, dig, source = _load(args.algebra)
+    report = reports.base_report(doc.name, dig, source)
     try:
         ce = lie_algebras.ce_model(doc.to_spec())
     except InvalidLieAlgebraError as exc:
         report["validation"] = _validation_section(exc.report)
-        _emit(report, args)
-        return None
+        return doc, report, None
     report["validation"] = _validation_section(ce.report)
-    return ce
+    return doc, report, ce
 
 
 def _certificate_section(cert: symplectic.SymplecticCertificate) -> dict:
@@ -146,22 +145,16 @@ def _omega_for(doc: AlgebraDocument, ce, args, report: dict):
     return result.form, EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    doc, dig, source = _load(args.algebra)
-    report = reports.base_report(doc.name, dig, source)
-    vreport = lie_algebras.validate(doc.to_spec())
-    report["validation"] = _validation_section(vreport)
-    _emit(report, args)
-    return EXIT_OK if vreport.ok else EXIT_INPUT
+def cmd_validate(args):
+    _, report, ce = _model_job(args)
+    return report, EXIT_INPUT if ce is None else EXIT_OK
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args):
     _check_max_degree(args)
-    doc, dig, source = _load(args.algebra)
-    report = reports.base_report(doc.name, dig, source)
-    ce = _validated_model(doc, report, args)
+    _, report, ce = _model_job(args)
     if ce is None:
-        return EXIT_INPUT
+        return report, EXIT_INPUT
     cap = args.max_degree if args.max_degree is not None else ce.n
     # below the dimension n, duality and the Euler characteristic are
     # reported as null; from n on, the analyzer reads the upper half of the
@@ -179,20 +172,16 @@ def cmd_cohomology(args) -> int:
         if cap >= 1
         else None,
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_symplectic(args) -> int:
-    doc, dig, source = _load(args.algebra)
-    report = reports.base_report(doc.name, dig, source)
-    ce = _validated_model(doc, report, args)
+def cmd_symplectic(args):
+    doc, report, ce = _model_job(args)
     if ce is None:
-        return EXIT_INPUT
+        return report, EXIT_INPUT
     form, code = _omega_for(doc, ce, args, report)
     if form is None:
-        _emit(report, args)
-        return code
+        return report, code
     entries = symplectic.hard_lefschetz(ce, form)
     report["hard_lefschetz"] = {
         "table": [
@@ -208,8 +197,7 @@ def cmd_symplectic(args) -> int:
         "holds": all(e.isomorphism for e in entries),
     }
     report["status"] = "symplectic"
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _parse_base(text: str) -> bundles.BaseModel:
@@ -259,24 +247,20 @@ def _csplit_sections(report: dict, verdict: bundles.CsplitVerdict) -> None:
     }
 
 
-def cmd_csplit(args) -> int:
+def cmd_csplit(args):
     _check_max_degree(args)
-    doc, dig, source = _load(args.algebra)
-    report = reports.base_report(doc.name, dig, source)
-    ce = _validated_model(doc, report, args)
+    doc, report, ce = _model_job(args)
     if ce is None:
-        return EXIT_INPUT
+        return report, EXIT_INPUT
     base = _parse_base(args.base)
     alpha = None if args.alpha == "solve" else _parse_alpha(args.alpha, ce.n, base.m)
     if ce.n % 2:
         report["status"] = "definitively-none"
         report["reason"] = f"odd dimension {ce.n}: no symplectic structure"
-        _emit(report, args)
-        return EXIT_NO_SYMPLECTIC
+        return report, EXIT_NO_SYMPLECTIC
     form, code = _omega_for(doc, ce, args, report)
     if form is None:
-        _emit(report, args)
-        return code
+        return report, code
     cap = args.max_degree if args.max_degree is not None else ce.n + 2
     report["base"] = args.base
 
@@ -295,8 +279,7 @@ def cmd_csplit(args) -> int:
         verdict = bundles.csplit_compare(bundles.TwistedModel(base, ce, zero), cap)
         _csplit_sections(report, verdict)
         report["status"] = "forced-zero" if forcing.forced_zero else "twists-remain"
-        _emit(report, args)
-        return EXIT_OK
+        return report, EXIT_OK
 
     tm = bundles.TwistedModel(base, ce, alpha)
     try:
@@ -307,8 +290,7 @@ def cmd_csplit(args) -> int:
             "generator": exc.generator_name,
             "d_squared": str(exc.witness),
         }
-        _emit(report, args)
-        return EXIT_BAD_TWIST
+        return report, EXIT_BAD_TWIST
     obstruction = bundles.hamiltonian_obstruction(tm, form)
     report["obstruction"] = {
         "d_omega_total": str(obstruction.full),
@@ -319,22 +301,18 @@ def cmd_csplit(args) -> int:
     }
     _csplit_sections(report, verdict)
     report["status"] = "analyzed"
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     if args.list:
         if args.format == "machine":
-            _emit({"catalog": catalog.names()}, args)
-        else:
-            for name in catalog.names():
-                sys.stdout.write(name + "\n")
-        return EXIT_OK
+            return {"catalog": catalog.names()}, EXIT_OK
+        sys.stdout.write("".join(name + "\n" for name in catalog.names()))
+        return None, EXIT_OK
     if args.emit:
-        doc = catalog.get(args.emit)
-        sys.stdout.write(emit_document(doc))
-        return EXIT_OK
+        sys.stdout.write(emit_document(catalog.get(args.emit)))
+        return None, EXIT_OK
     raise DocumentError("catalog: pass --list or --emit NAME")
 
 
@@ -424,10 +402,13 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except NilsplitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    if report is not None:
+        sys.stdout.write(reports.render(report, args.format))
+    return code
 
 
 if __name__ == "__main__":

@@ -45,10 +45,6 @@ def parse_rational(text, where: str) -> Fraction:
         raise DocumentError(f"{where}: rational literal has too many digits") from None
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)
-
-
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(f"{where}: expected an integer, got {value!r}")
@@ -102,6 +98,12 @@ def _parse_pair_list(raw, dim: int, where: str, with_k: bool):
             out.append((i, j, k, c))
         else:
             out.append((i, j, c))
+    seen = set()
+    for entry in out:
+        key = entry[:-1]  # (i, j, k) or (i, j)
+        if key in seen:
+            raise DocumentError(f"{where}: duplicate entry for ({','.join(map(str, key))})")
+        seen.add(key)
     return tuple(out)
 
 
@@ -129,19 +131,9 @@ def parse_document(text: str) -> AlgebraDocument:
     if dim < 1:
         raise DocumentError(f"dim: must be positive, got {dim}")
     brackets = _parse_pair_list(raw["brackets"], dim, "brackets", with_k=True)
-    seen = set()
-    for i, j, k, _ in brackets:
-        if (i, j, k) in seen:
-            raise DocumentError(f"brackets: duplicate entry for ({i},{j},{k})")
-        seen.add((i, j, k))
     omega = None
     if "omega" in raw and raw["omega"] is not None:
         omega = _parse_pair_list(raw["omega"], dim, "omega", with_k=False)
-        seen_o = set()
-        for i, j, _ in omega:
-            if (i, j) in seen_o:
-                raise DocumentError(f"omega: duplicate entry for ({i},{j})")
-            seen_o.add((i, j))
     return AlgebraDocument(name=raw["name"], dim=dim, brackets=brackets, omega=omega)
 
 
@@ -150,15 +142,10 @@ def emit_document(doc: AlgebraDocument) -> str:
     obj: dict = {
         "name": doc.name,
         "dim": doc.dim,
-        "brackets": [
-            {"i": i, "j": j, "k": k, "c": format_rational(c)}
-            for i, j, k, c in doc.brackets
-        ],
+        "brackets": [{"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in doc.brackets],
     }
     if doc.omega is not None:
-        obj["omega"] = [
-            {"i": i, "j": j, "c": format_rational(c)} for i, j, c in doc.omega
-        ]
+        obj["omega"] = [{"i": i, "j": j, "c": str(c)} for i, j, c in doc.omega]
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -347,14 +347,6 @@ class Element:
                     del acc[key]
         return Element(self.algebra, acc)
 
-    def power(self, e: int) -> Element:
-        if e < 0:
-            raise StructuralError("negative powers are not defined")
-        result = self.algebra.one()
-        for _ in range(e):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented

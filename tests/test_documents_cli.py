@@ -141,6 +141,17 @@ def test_parse_rejects_bad_documents(mutation):
         parse_document(json.dumps(obj))
 
 
+def test_parse_names_the_duplicate_entry():
+    obj = json.loads(GOOD)
+    obj["brackets"].append({"i": 1, "j": 2, "k": 3, "c": "2"})
+    with pytest.raises(DocumentError, match=r"^brackets: duplicate entry for \(1,2,3\)$"):
+        parse_document(json.dumps(obj))
+    obj = json.loads(GOOD)
+    obj["omega"].append({"i": 1, "j": 4, "c": "3"})
+    with pytest.raises(DocumentError, match=r"^omega: duplicate entry for \(1,4\)$"):
+        parse_document(json.dumps(obj))
+
+
 def test_parse_rejects_zero_denominator():
     obj = json.loads(GOOD)
     obj["brackets"][0]["c"] = "1/0"
@@ -216,7 +227,7 @@ JACOBI_FAILS = json.dumps(
 )
 
 
-@pytest.mark.parametrize("command", ["cohomology", "symplectic", "csplit"])
+@pytest.mark.parametrize("command", ["validate", "cohomology", "symplectic", "csplit"])
 def test_cli_validates_each_job_once(tmp_path, capsys, monkeypatch, command):
     from nilsplit import lie_algebras
 
@@ -241,7 +252,7 @@ def test_cli_validates_each_job_once(tmp_path, capsys, monkeypatch, command):
     assert json.loads(out)["validation"]["jacobi_ok"] is False
 
 
-def test_cli_shared_parser_carries_nothing_between_calls(capsys):
+def test_cli_shared_parser_carries_nothing_between_calls(capsys, monkeypatch):
     """main() reuses one parser; each report equals a fresh parser's."""
     from nilsplit import cli
 
@@ -255,12 +266,8 @@ def test_cli_shared_parser_carries_nothing_between_calls(capsys):
     ]
     shared = [run_cli(capsys, *argv) for argv in argvs]
     assert cli._parser() is cli._parser()
-    fresh = []
-    for argv in argvs:
-        args = cli.build_parser().parse_args(argv)
-        code = args.func(args)
-        out = capsys.readouterr()
-        fresh.append((code, out.out, out.err))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in argvs]
     assert shared == fresh
     assert "alpha_zero: True" in shared[1][1]
 

@@ -358,11 +358,3 @@ def test_associativity_on_monomials(p, q, r, hyp_rng):
 
     u, v, w = pick(p), pick(q), pick(r)
     assert (u * v) * w == u * (v * w)
-
-
-def test_power(mixed):
-    a = mixed.gen("a1") + mixed.gen("a2")
-    sq = a.power(2)
-    a1a2 = mixed.gen("a1") * mixed.gen("a2")
-    assert sq.coefficient((3, 2)) == 1
-    assert sq == mixed.gen("a1").power(2) + a1a2.scale(2) + mixed.gen("a2").power(2)
