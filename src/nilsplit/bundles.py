@@ -36,12 +36,13 @@ Total Betti numbers come from one of three paths:
   all computed on the fiber;
 - formal base, alpha != 0: the cohomology of the total model itself.
 Comparing the total vector with the convolution makes the splitting
-checkable degree by degree.
+checkable degree by degree. BaseModel and the results ObstructionReport,
+ForcingReport and CsplitVerdict are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -62,18 +63,16 @@ from .symplectic import SymplecticForm
 ZERO = 0
 
 
-@dataclass(frozen=True)
-class BaseModel:
+class BaseModel(namedtuple("BaseModel", "kind dga twist_gen_names")):
     """A base DGA together with its degree-2 twist generators.
 
     kind "s2": the two-generator model of the sphere, deg a = 2, deg b = 3,
     da = 0, db = a^2 (a^2 bounds, so H^4 = 0 and H^2 is spanned by [a]).
     kind "formal": a free polynomial algebra on m degree-2 cocycles.
+    twist_gen_names is the tuple of the names of the a_j.
     """
 
-    kind: str
-    dga: FreeDGA
-    twist_gen_names: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -192,8 +191,7 @@ def build_twisted(fiber: CEModel, base: BaseModel, alpha) -> TwistedModel:
     return tm
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(namedtuple("ObstructionReport", "full per_generator hamiltonian")):
     """D(omega) in the total model and its base-generator coefficients.
 
     per_generator[a_j] = theta_j(omega), the contraction of omega with the
@@ -201,9 +199,7 @@ class ObstructionReport:
     model is Hamiltonian iff full == 0. omega need not be closed.
     """
 
-    full: Element
-    per_generator: dict[str, Element]
-    hamiltonian: bool
+    __slots__ = ()
 
 
 def hamiltonian_obstruction(tm: TwistedModel, sf: SymplecticForm) -> ObstructionReport:
@@ -246,8 +242,12 @@ def _solve_alphas(fiber: CEModel, m: int, omega: Element | None):
     ]
 
 
-@dataclass(frozen=True)
-class ForcingReport:
+class ForcingReport(
+    namedtuple(
+        "ForcingReport",
+        "fiber_dim base_m solution_dimension basis_alphas forced_zero witnesses_verified",
+    )
+):
     """Solution space of {D^2 = 0 and D(omega) = 0} over all alpha.
 
     forced_zero means the only admissible Hamiltonian twist is alpha = 0,
@@ -256,12 +256,7 @@ class ForcingReport:
     by direct evaluation.
     """
 
-    fiber_dim: int
-    base_m: int
-    solution_dimension: int
-    basis_alphas: tuple
-    forced_zero: bool
-    witnesses_verified: bool
+    __slots__ = ()
 
 
 def forcing_check(fiber: CEModel, sf: SymplecticForm, base: BaseModel) -> ForcingReport:
@@ -336,13 +331,11 @@ def kunneth_convolution(base_betti: list[int], fiber_betti: list[int], cap: int)
     ]
 
 
-@dataclass(frozen=True)
-class CsplitVerdict:
-    c_splits: bool
-    cap: int
-    total: tuple[int, ...]
-    expected: tuple[int, ...]
-    alpha_zero: bool  # alpha = 0: the total DGA is literally the tensor product
+class CsplitVerdict(namedtuple("CsplitVerdict", "c_splits cap total expected alpha_zero")):
+    """total and expected are Betti vectors up to degree cap; alpha_zero means
+    the total DGA is literally the tensor product."""
+
+    __slots__ = ()
 
 
 def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:

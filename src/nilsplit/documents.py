@@ -13,7 +13,8 @@ Rationals are strings ("3", "-1/2") of ASCII digits and nothing else:
 exactness forbids float literals, and a string keeps every parser honest.
 Unknown fields anywhere are rejected; indices are 1-based with i < j.
 "omega" is optional and names a candidate symplectic form. Emission is
-canonical, so emit(parse(emit(d))) is byte-identical to emit(d).
+canonical, so emit(parse(emit(d))) is byte-identical to emit(d). A parsed
+document is an AlgebraDocument, an immutable named tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DocumentError
@@ -29,16 +30,18 @@ from .lie_algebras import LieAlgebraSpec
 
 # ASCII digits only, and the whole string: re's \d takes any Unicode digit
 # and $ matches before a final newline
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"{where}: rationals must be strings, got {text!r}")
-    if not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if not match:
         raise DocumentError(f"{where}: not a rational literal: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise DocumentError(f"{where}: zero denominator in rational {text!r}") from None
     except ValueError:  # past the interpreter's integer digit limit
@@ -51,14 +54,13 @@ def _require_int(value, where: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
-    """Serializable algebra input: dimension, brackets, optional omega."""
+class AlgebraDocument(
+    namedtuple("AlgebraDocument", "name dim brackets omega", defaults=(None,))
+):
+    """Serializable algebra input: dimension, brackets (i, j, k, c) and an
+    optional omega, (i, j, c) triples or None."""
 
-    name: str
-    dim: int
-    brackets: tuple[tuple[int, int, int, Fraction], ...]
-    omega: tuple[tuple[int, int, Fraction], ...] | None = None
+    __slots__ = ()
 
     def to_spec(self) -> LieAlgebraSpec:
         return LieAlgebraSpec(dim=self.dim, brackets=self.brackets, name=self.name)

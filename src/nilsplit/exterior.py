@@ -21,14 +21,15 @@ Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
 this module may round.
 
-All objects are immutable after construction and safe to share across
-threads.
+A Generator is a named tuple (name, degree, index). All objects are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import StructuralError
 
@@ -108,10 +109,7 @@ def _accumulate(terms: dict, key, c) -> None:
         del terms[key]
 
 
-class Generator(NamedTuple):
-    name: str
-    degree: int
-    index: int
+Generator = namedtuple("Generator", "name degree index")
 
 
 def exact(c) -> int | Fraction:

@@ -5,6 +5,10 @@ A LieAlgebraSpec holds a dimension n and rational structure constants
 Rationality is required on purpose: a lattice in the corresponding simply
 connected group exists exactly when the algebra has a rational structure,
 so rational constants are what make the input an honest compact quotient.
+LieAlgebraSpec and ValidationReport are immutable named tuples. A spec
+checks its entries in __new__, so _make and _replace check them too.
+CEModel is a plain class, immutable by convention, that caches its one
+cohomology analyzer.
 
 The Chevalley-Eilenberg model is the exterior algebra on the dual basis
 x_1..x_n (all degree 1) with the quadratic differential
@@ -26,7 +30,7 @@ and is spanned with linalg.Echelon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,15 +43,18 @@ ZERO = 0
 ONE = 1
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpec:
-    """Structure constants of a finite-dimensional Lie algebra, 1-based."""
+class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "dim brackets name", defaults=("",))):
+    """Structure constants of a finite-dimensional Lie algebra, 1-based.
 
-    dim: int
-    brackets: tuple[tuple[int, int, int, Fraction], ...]
-    name: str = ""
+    brackets holds (i, j, k, c) with i < j and c a Fraction. Every way to
+    build one, _make and _replace included, goes through the checks in
+    __new__.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dim < 1:
             raise StructuralError("dimension must be positive")
         seen = set()
@@ -61,6 +68,11 @@ class LieAlgebraSpec:
             if (i, j, k) in seen:
                 raise StructuralError(f"duplicate bracket entry ({i},{j},{k})")
             seen.add((i, j, k))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """Nonzero brackets [X_i, X_j], i < j, as sparse vectors {k: c}.
@@ -90,22 +102,23 @@ def _bracket(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
     return {k: c for k, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(
+    namedtuple(
+        "ValidationReport",
+        "dim jacobi_ok jacobi_failures nilpotent nilpotency_class"
+        " lower_central_dims derived_dim",
+        defaults=((), False, None, (), 0),
+    )
+):
     """Outcome of checking a structure-constant table.
 
     Failures are report content, not exceptions: jacobi_failures lists the
     offending basis triples with the defect vector, and a non-nilpotent
     algebra shows up as a lower central series that stabilizes above zero.
+    nilpotency_class is None for an algebra that is not nilpotent.
     """
 
-    dim: int
-    jacobi_ok: bool
-    jacobi_failures: tuple = ()
-    nilpotent: bool = False
-    nilpotency_class: int | None = None
-    lower_central_dims: tuple[int, ...] = ()
-    derived_dim: int = 0
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -179,13 +192,14 @@ def _validate(spec: LieAlgebraSpec, dga: FreeDGA) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True)
 class CEModel:
-    """Chevalley-Eilenberg model: exterior algebra on x_1..x_n, quadratic d."""
+    """Chevalley-Eilenberg model: exterior algebra on x_1..x_n, quadratic d.
+    Compares and hashes by identity."""
 
-    spec: LieAlgebraSpec
-    dga: FreeDGA
-    report: ValidationReport = field(compare=False, default=None)
+    def __init__(self, spec: LieAlgebraSpec, dga: FreeDGA, report: ValidationReport = None):
+        self.spec = spec
+        self.dga = dga
+        self.report = report
 
     @property
     def n(self) -> int:

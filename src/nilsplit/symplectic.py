@@ -33,12 +33,14 @@ dual table of the pairing are bit sets too, and every product here, in
 the chain and in hard Lefschetz, is one step (_times): a left factor
 listed by its terms times a bit-set element, with the Koszul sign read
 off one popcount per pair of terms. No Element product is formed.
+
+The results, SymplecticForm, SymplecticCertificate, SymplecticSearchResult
+and LefschetzEntry, are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import product
 from math import lcm
 
@@ -51,12 +53,10 @@ from .lie_algebras import CEModel
 ZERO = 0
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(namedtuple("SymplecticForm", "model omega")):
     """A degree-2 element omega of a CE model, built and checked once."""
 
-    model: CEModel
-    omega: Element
+    __slots__ = ()
 
     @staticmethod
     def from_coeffs(model: CEModel, coeffs) -> SymplecticForm:
@@ -85,16 +85,19 @@ class SymplecticForm:
         return str(self.omega)
 
 
-@dataclass(frozen=True)
-class SymplecticCertificate:
-    """Result of checking the two symplectic conditions; never an error."""
+class SymplecticCertificate(
+    namedtuple(
+        "SymplecticCertificate",
+        "closed d_omega even_dimensional rank nondegenerate kernel_witness",
+    )
+):
+    """Result of checking the two symplectic conditions; never an error.
 
-    closed: bool
-    d_omega: Element
-    even_dimensional: bool
-    rank: int
-    nondegenerate: bool
-    kernel_witness: tuple[Fraction, ...] | None
+    kernel_witness is a nonzero kernel vector of a degenerate form, as a
+    tuple of n exact rationals, and None for a nondegenerate one.
+    """
+
+    __slots__ = ()
 
     @property
     def symplectic(self) -> bool:
@@ -125,8 +128,9 @@ def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
     )
 
 
-@dataclass(frozen=True)
-class SymplecticSearchResult:
+class SymplecticSearchResult(
+    namedtuple("SymplecticSearchResult", "status form certificate closed_dim reason")
+):
     """Outcome of find_symplectic.
 
     status is one of:
@@ -139,15 +143,13 @@ class SymplecticSearchResult:
                           vector in the common kernel of all closed
                           2-forms, or by the vanishing of every product of
                           dim/2 closed 2-forms.
-    reason names which check decided. closed_dim is dim Z^2, or -1 when the
-    odd dimension decides first.
+    form and certificate are the SymplecticForm and its
+    SymplecticCertificate when found, else None. reason names which check
+    decided. closed_dim is dim Z^2, or -1 when the odd dimension decides
+    first.
     """
 
-    status: str
-    form: SymplecticForm | None
-    certificate: SymplecticCertificate | None
-    closed_dim: int
-    reason: str
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -401,15 +403,13 @@ def find_symplectic(model: CEModel) -> SymplecticSearchResult:
     return _chain_search(model, omegas)
 
 
-@dataclass(frozen=True)
-class LefschetzEntry:
-    k: int
-    source_degree: int
-    target_degree: int
-    source_betti: int
-    target_betti: int
-    rank: int
-    isomorphism: bool
+class LefschetzEntry(
+    namedtuple(
+        "LefschetzEntry",
+        "k source_degree target_degree source_betti target_betti rank isomorphism",
+    )
+):
+    __slots__ = ()
 
 
 def _pairing_rank(products, partners: list[dict], n: int) -> int:

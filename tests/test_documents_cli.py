@@ -38,9 +38,12 @@ def test_parse_good_document():
 
 
 def test_rational_grammar():
-    assert parse_rational("-1/2", "x") == F(-1, 2)
-    assert parse_rational("3", "x") == F(3)
-    assert parse_rational("+7/21", "x") == F(1, 3)
+    cases = {
+        "-1/2": F(-1, 2), "3": F(3), "+7/21": F(1, 3), "007": F(7), "-0/5": F(0), "+4/6": F(2, 3)
+    }
+    for text, value in cases.items():
+        parsed = parse_rational(text, "x")
+        assert parsed == value and type(parsed) is Fraction, text
     # the whole string in ASCII digits: no final newline, no Arabic-Indic digits
     for bad in ("1/0", "0.5", "a", "1 / 2", "", "--3", "1/-2", "1\n", "\u0661", "1/\u0662"):
         with pytest.raises(DocumentError):
