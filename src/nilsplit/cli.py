@@ -27,7 +27,6 @@ import re
 import sys
 
 from . import bundles, catalog, lie_algebras, reports, symplectic
-from .cohomology import poincare_check
 from .documents import (
     AlgebraDocument,
     DocumentError,
@@ -159,14 +158,14 @@ def cmd_cohomology(args):
     # below the dimension n, duality and the Euler characteristic are
     # reported as null; from n on, the analyzer reads the upper half of the
     # table off the ranks of d below the middle, and poincare_duality is
-    # the certificate that makes that exact (cohomology.poincare_check)
+    # the certificate that makes that exact (Cohomology.duality)
     coh = ce.cohomology
     bettis = coh.betti_vector(cap)
     full = cap >= ce.n
     report["cohomology"] = {
         "max_degree": cap,
         "betti": bettis,
-        "poincare_duality": poincare_check(coh, ce.n) if full else None,
+        "poincare_duality": coh.duality == ce.n if full else None,
         "euler_characteristic": coh.euler_characteristic(ce.n) if full else None,
         "b1_equals_dim_minus_derived": bettis[1] == ce.n - ce.report.derived_dim
         if cap >= 1

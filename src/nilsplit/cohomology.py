@@ -14,9 +14,9 @@ a unimodular Lie algebra and so of every nilpotent one, satisfies
 Poincare duality (Koszul 1950; Hazewinkel 1970). The coefficient <u, v>
 of x_1...x_n in uv pairs C^k with C^{n-k} perfectly, and d(uv) = 0 for uv
 in C^{n-1} gives <du, v> = -(-1)^k <u, dv>: d on C^{n-1-k} is the adjoint
-of d on C^k up to sign, so the two have one rank. The analyzer detects
-this by an exact check and then eliminates only the lower half of the
-complex; see Cohomology.
+of d on C^k up to sign, so the two have one rank. The analyzer reads
+d = 0 on C^{n-1} off the generator images, then eliminates only the
+lower half of the complex; see Cohomology.
 
 The echelon engine is nilsplit.linalg.Echelon. The test suite checks
 every Betti number here against an independent naive dense elimination
@@ -96,16 +96,16 @@ class Cohomology:
     only the slices it reads, so one analyzer serves every reader of a DGA
     (see CEModel.cohomology), polynomial-type algebras included.
 
-    `duality` is n when the DGA certifies Poincare duality: its n
-    generators all have degree 1 and d vanishes on each of the n monomials
-    of C^{n-1}, checked once here. Then d on C^k and on C^{n-1-k} have one
+    `duality`, the certificate of Poincare duality, is n when the n
+    generators all have degree 1 and d = 0 on the n monomials of C^{n-1}
+    (unimodularity, on a CE model), read once off the images d x_j (see
+    _duality), else None. Under it d on C^k and on C^{n-1-k} have one
     rank (see the module docstring), so `rank` eliminates only the lower
     of the two degrees unless the other is cached, and `betti` takes
     dim C^k = C(n, k) without building the slice: a Betti table reads
-    slices up to degree (n-1)/2 only. Otherwise `duality` is None and
-    every degree is eliminated directly, as for bundle models, whose base
-    generators are even. `cocycles` and `basis` always eliminate their
-    own degree.
+    slices up to degree (n-1)/2 only. Without it every degree is
+    eliminated directly, as for bundle models, whose base generators are
+    even. `cocycles` and `basis` always eliminate their own degree.
     """
 
     def __init__(self, dga: FreeDGA):
@@ -190,26 +190,22 @@ class Cohomology:
 
 
 def _duality(dga: FreeDGA) -> int | None:
-    """n when the n generators all have degree 1 and d = 0 on C^{n-1}."""
-    degrees = dga.algebra.degrees
-    if any(g != 1 for g in degrees):
-        return None
-    n = len(degrees)
-    top = tuple(x for i in range(n) for x in (i, 1))
-    for i in range(n):
-        if dga.d.monomial_terms(top[: 2 * i] + top[2 * i + 2 :]):
-            return None
-    return n
+    """n when the n generators all have degree 1 and d = 0 on C^{n-1}.
 
-
-def poincare_check(cohomology: Cohomology, n: int) -> bool:
-    """The certificate of Poincare duality in dimension n: n generators of
-    degree 1 and d = 0 on C^{n-1} (Cohomology.duality).
-
-    Under it the analyzer reads b_{n-k} off the ranks of b_k, so comparing
-    the two would check nothing; the tests compare them on a dense oracle
-    that eliminates every degree. On a CE model the certificate is
-    unimodularity. A non-unimodular model has b_n = 0 != b_0, so on every
-    CE model this is also whether b_k = b_{n-k} for all k.
+    d of the monomial without x_i is +-t_i x_1...x_n, where t_i collects
+    the terms c x_a x_b (a < b) of each d x_j: -c into t_a when b = j,
+    +c into t_b when a = j. On a CE model t_i is the trace of ad X_i, so
+    this is unimodularity, read in one pass over the generator images;
+    no monomial of degree n-1 is built.
     """
-    return cohomology.duality == n
+    alg = dga.algebra
+    if any(g != 1 for g in alg.degrees):
+        return None
+    trace = [0] * len(alg.degrees)
+    for j, g in enumerate(alg.generators):
+        for (a, _, b, _), c in dga.d.image_of_generator(g.name).terms.items():
+            if b == j:
+                trace[a] -= c
+            elif a == j:
+                trace[b] += c
+    return None if any(trace) else len(trace)

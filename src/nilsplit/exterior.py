@@ -216,7 +216,8 @@ class GradedAlgebra:
         before every key that skips it, smaller exponents first. A branch
         stops once the remaining degree is more than the generators left
         can add: the sum of their odd degrees, or no limit while an even
-        generator remains.
+        generator remains. The loop picks the next generator to take, so
+        the recursion is only as deep as the number of blocks in a key.
         """
         if k < 0:
             return []
@@ -228,23 +229,23 @@ class GradedAlgebra:
             reach[i] = min(k, reach[i + 1] + self.degrees[i]) if self.parity[i] else k
         key: list[int] = []
 
-        def rec(i: int, remaining: int) -> None:
+        def rec(start: int, remaining: int) -> None:
             if remaining == 0:
                 out.append(tuple(key))
                 return
-            if remaining > reach[i]:
-                return
-            d = self.degrees[i]
-            cap = remaining // d
-            if self.parity[i]:
-                cap = min(cap, 1)
-            for e in range(1, cap + 1):
-                key.append(i)
-                key.append(e)
-                rec(i + 1, remaining - e * d)
-                key.pop()
-                key.pop()
-            rec(i + 1, remaining)
+            for i in range(start, ngen):
+                if remaining > reach[i]:
+                    return
+                d = self.degrees[i]
+                cap = remaining // d
+                if self.parity[i]:
+                    cap = min(cap, 1)
+                for e in range(1, cap + 1):
+                    key.append(i)
+                    key.append(e)
+                    rec(i + 1, remaining - e * d)
+                    key.pop()
+                    key.pop()
 
         rec(0, k)
         return out

@@ -46,7 +46,6 @@ from math import lcm
 
 from . import linalg
 from .errors import StructuralError
-from .cohomology import poincare_check
 from .exterior import Element, contraction_columns
 from .lie_algebras import CEModel
 
@@ -447,7 +446,7 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
 
     h is half the dimension n. An entry is an isomorphism when the two
     Betti numbers agree and the map has full rank. The model's analyzer
-    must certify Poincare duality (cohomology.poincare_check), or this
+    must certify Poincare duality (Cohomology.duality is n), or this
     refuses: then b_{h+k} = b_{h-k}, and the pairing of H^{h+k} with
     H^{h-k}, the top coefficient of a product, is perfect, so a class of
     degree h+k is zero iff it pairs to zero with every representative a_j
@@ -468,7 +467,7 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     half = n // 2
     if n % 2:
         raise StructuralError("hard Lefschetz needs an even-dimensional model")
-    if not poincare_check(coh, n):
+    if coh.duality != n:
         raise StructuralError("hard Lefschetz needs Poincare duality: d != 0 on C^(n-1)")
     form = _bit_form(sf.omega)
     power = {0: 1}

@@ -302,6 +302,14 @@ def test_monomials_of_degree_matches_naive_enumeration():
         assert len(got) == comb(20, k), k
 
 
+def test_monomials_of_degree_recurse_per_block_not_per_generator():
+    """The recursion is as deep as a key has blocks, so degree 1 on more
+    generators than the interpreter's recursion limit lists them all."""
+    alg = GradedAlgebra([(f"x{i}", 1) for i in range(1500)])
+    assert alg.monomials_of_degree(1) == [(i, 1) for i in range(1500)]
+    assert alg.monomials_of_degree(0) == [()]
+
+
 def test_contract_is_a_degree_minus_one_derivation(mixed):
     """theta(x_k) = alpha_k, graded Leibniz with sign (-1)^|u|, theta^2 = 0."""
     rng = random.Random(505)

@@ -35,7 +35,7 @@ from nilsplit.bundles import (
     sphere_base,
 )
 from nilsplit import linalg
-from nilsplit.cohomology import Cohomology, DegreeSlice, poincare_check
+from nilsplit.cohomology import Cohomology, DegreeSlice
 from nilsplit.exterior import Element
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
 from nilsplit.symplectic import (
@@ -477,7 +477,7 @@ def test_cohomology_invariants(corpus, dim8_pairs):
     """b0 = 1, Poincare duality, chi = 0, b1 = n - dim[g, g] and d o d = 0 on
     the image of every slice, read through each model's shared analyzer.
 
-    poincare_check is the certificate the analyzer mirrors under; duality
+    coh.duality is the certificate the analyzer mirrors under; duality
     itself is observed on the naive dense oracle, which eliminates every
     degree: its Betti vector equals the analyzer's and is symmetric. Betti
     oracles on catalog-size algebras cannot see a wrong Koszul sign in d;
@@ -488,7 +488,7 @@ def test_cohomology_invariants(corpus, dim8_pairs):
         coh = model.cohomology
         betti = coh.betti_vector(n)
         assert betti[0] == 1
-        assert poincare_check(coh, n)
+        assert coh.duality == n
         oracle = betti_vector_naive(model.dga, n)
         assert betti == oracle, model.spec
         assert oracle == oracle[::-1], model.spec
