@@ -16,10 +16,11 @@ structural shape such models must have.
 On fiber elements D = d + sum_j a_j theta_j, where theta_j is the degree -1
 contraction with the j-th alpha column (exterior.contract). Hence
 D^2 x_k = sum_j a_j theta_j(d x_k) and D(omega) = d omega + sum_j a_j
-theta_j(omega), and the obstruction is read off these contractions. D^2 = 0
-is never assumed for a nonzero twist: csplit_compare checks it on every
-generator before it computes any cohomology and rejects incompatible alpha
-with a witness (build_twisted does the same for library callers). At
+theta_j(omega). The obstruction takes D(omega) from the total model's own
+differential and its a_j-coefficients from theta_j; the tests check that
+the two agree. D^2 = 0 is never assumed for a nonzero twist: csplit_compare
+checks it on every generator before it computes any cohomology and rejects
+incompatible alpha with a witness (build_twisted does the same for library callers). At
 alpha = 0 the model is base tensor a checked CE model and needs no check.
 The forcing solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0,
 the admissibility and Hamiltonian conditions for a closed omega, for all
@@ -174,7 +175,8 @@ class TwistedModel:
         return all(not c for row in self.alpha for c in row)
 
     def theta(self, j: int) -> dict[int, Fraction]:
-        """Column j of alpha (0-based) as the contraction map of exterior.contract."""
+        """Column j of alpha (0-based) as the contraction map of exterior.contract;
+        contract(u, theta(j)) is the a_j-coefficient of D(u) for fiber u."""
         return {k: row[j] for k, row in enumerate(self.alpha) if row[j]}
 
 
@@ -194,9 +196,10 @@ def build_twisted(fiber: CEModel, base: BaseModel, alpha) -> TwistedModel:
 class ObstructionReport(namedtuple("ObstructionReport", "full per_generator hamiltonian")):
     """D(omega) in the total model and its base-generator coefficients.
 
-    per_generator[a_j] = theta_j(omega), the contraction of omega with the
-    j-th alpha column, and full = d omega + sum_j a_j theta_j(omega). The
-    model is Hamiltonian iff full == 0. omega need not be closed.
+    full is D applied to omega in the total model, which equals
+    d omega + sum_j a_j theta_j(omega), and per_generator[a_j] =
+    theta_j(omega), the contraction of omega with the j-th alpha column.
+    The model is Hamiltonian iff full == 0. omega need not be closed.
     """
 
     __slots__ = ()
@@ -205,11 +208,11 @@ class ObstructionReport(namedtuple("ObstructionReport", "full per_generator hami
 def hamiltonian_obstruction(tm: TwistedModel, sf: SymplecticForm) -> ObstructionReport:
     if sf.model.algebra is not tm.fiber.algebra:
         raise StructuralError("symplectic form lives on a different fiber")
-    full = tm.include_fiber(tm.fiber.d(sf.omega))
-    per_generator = {}
-    for j, name in enumerate(tm.base.twist_gen_names):
-        per_generator[name] = contract(sf.omega, tm.theta(j))
-        full = full + tm.total.algebra.gen(name) * tm.include_fiber(per_generator[name])
+    full = tm.total.d(tm.include_fiber(sf.omega))
+    per_generator = {
+        name: contract(sf.omega, tm.theta(j))
+        for j, name in enumerate(tm.base.twist_gen_names)
+    }
     return ObstructionReport(
         full=full, per_generator=per_generator, hamiltonian=full.is_zero()
     )

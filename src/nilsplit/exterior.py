@@ -17,6 +17,9 @@ rest by the Leibniz rule, merging keys straight into one term map, and
 caches that map per monomial; DegreeSlice reads the cached maps as its
 sparse columns.
 
+The contractions iota_k are formed once, in contraction_columns; contract
+combines its columns.
+
 Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
 this module may round.
@@ -469,38 +472,30 @@ class Derivation:
 def contract(u: Element, alpha: Mapping[int, Fraction]) -> Element:
     """theta(u) for the degree -1 derivation with theta(g_i) = alpha[i].
 
-    alpha maps generator indices to rationals, and only degree-1 generators
-    may carry a nonzero value, so theta(g_i) is a scalar. On a monomial,
-    theta removes one contracted factor at a time with the Koszul sign
-    (-1)^position, the degree of the factors before it. For a CE model and
-    the vector X with x_k(X) = alpha_k this is the interior product iota_X.
+    alpha maps generator indices to rationals; theta is sum_i alpha[i] iota_i,
+    a combination of the columns of contraction_columns([u], n) with n one
+    past the last index carrying a nonzero value. So generators 0..n-1 must
+    have degree 1, and theta(g_i) is a scalar. For a CE model and the vector
+    X with x_k(X) = alpha_k this is the interior product iota_X.
     """
-    alg = u.algebra
-    for i, c in alpha.items():
-        if c and alg.degrees[i] != 1:
-            raise StructuralError(
-                f"contraction needs degree-1 generators; "
-                f"{alg.generators[i].name!r} has degree {alg.degrees[i]}"
-            )
-    degrees = alg.degrees
+    n = max((i for i, c in alpha.items() if c), default=-1) + 1
+    columns = contraction_columns([u], n)
     acc: dict[tuple, Fraction] = {}
-    for key, c in u.terms.items():
-        position = 0
-        for p in range(0, len(key), 2):
-            i = key[p]
-            v = alpha.get(i)
-            if v:
-                rest = key[:p] + key[p + 2 :]
-                _accumulate(acc, rest, -c * v if position & 1 else c * v)
-            position += degrees[i] * key[p + 1]
-    return Element(alg, acc)
+    for i, c in alpha.items():
+        if c:
+            for (_, rest), v in columns[i].items():
+                _accumulate(acc, rest, c * v)
+    return Element(u.algebra, acc)
 
 
 def contraction_columns(elements, n: int) -> list[dict]:
-    """Column k holds contract(u, {k: 1}) at the rows (index of u, monomial).
+    """Column k holds iota_k(u) at the rows (index of u, monomial).
 
-    One pass over the terms; removing x_k leaves a distinct rest per monomial.
-    As in contract, generators 0..n-1 must have degree 1.
+    iota_k is the degree -1 derivation with iota_k(g_i) = 1 for i = k and 0
+    otherwise; generators 0..n-1 must have degree 1. On a monomial it
+    removes x_k with the Koszul sign (-1)^position, the degree of the
+    factors before it. One pass over the terms; removing x_k leaves a
+    distinct rest per monomial.
     """
     columns: list[dict] = [{} for _ in range(n)]
     for r, u in enumerate(elements):

@@ -226,20 +226,18 @@ class CEModel:
 def ce_dga(spec: LieAlgebraSpec) -> FreeDGA:
     """The exterior algebra with d x_k = -sum c_ij^k x_i x_j; no validation.
 
-    d^2 = 0 holds exactly when the table satisfies the Jacobi identity, so
-    this is also the raw material for probing that equivalence on arbitrary
-    antisymmetric tables.
+    Every d x_k is read off spec.bracket_table() in one pass. d^2 = 0 holds
+    exactly when the table satisfies the Jacobi identity, so this is also
+    the raw material for probing that equivalence on arbitrary antisymmetric
+    tables.
     """
     n = spec.dim
     algebra = GradedAlgebra([(f"x{k}", 1) for k in range(1, n + 1)])
-    images: dict[str, Element] = {}
-    for k in range(1, n + 1):
-        terms: dict[tuple, Fraction] = {}
-        for i, j, k2, c in spec.brackets:
-            if k2 == k and c:
-                key = (i - 1, 1, j - 1, 1)
-                terms[key] = terms.get(key, ZERO) - exact(c)
-        images[f"x{k}"] = algebra.element(terms)
+    terms: list[dict] = [{} for _ in range(n)]
+    for (i, j), row in spec.bracket_table().items():
+        for k, c in row.items():
+            terms[k - 1][(i - 1, 1, j - 1, 1)] = -c
+    images = {f"x{k}": Element(algebra, t) for k, t in enumerate(terms, start=1)}
     return FreeDGA(algebra, Derivation(algebra, images))
 
 

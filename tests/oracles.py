@@ -22,7 +22,9 @@ symplectic decision formed by Element products, with independence decided
 by its own elimination. The
 interior product of a 2-form is here as the literal formula
 sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
-(a_ij); neither goes through exterior.contract. The rank of a set of
+(a_ij); neither goes through exterior.contract. The contraction iota_k of
+any element is here by the graded Leibniz rule over Element products,
+with no position parity. The rank of a set of
 classes is here as the rank of a dense stack of coboundaries and the
 cocycles, less that of the coboundaries, with no class basis; the hard
 Lefschetz ranks are that rank for omega^k times a naive cocycle basis.
@@ -386,6 +388,37 @@ def contraction_literal(omega: Element, alpha) -> Element:
         coords[j] += c * alpha[i]
         coords[i] -= c * alpha[j]
     return Element(alg, {(k, 1): c for k, c in enumerate(coords) if c})
+
+
+def contraction_by_leibniz(u: Element, k: int) -> Element:
+    """iota_k(u) for the degree -1 derivation with iota_k(g_i) = 1 if i = k, else 0.
+
+    Each monomial is the Element product of its factors, one generator at a
+    time, and iota_k goes through it by the graded Leibniz rule
+    iota(g r) = iota(g) r + (-1)^|g| g iota(r), so every sign comes from
+    Element.__mul__ and no position parity is read.
+    """
+    alg = u.algebra
+    assert alg.degrees[k] == 1
+
+    def on_word(word):
+        if not word:
+            return alg.zero()
+        g, rest = word[0], word[1:]
+        r = alg.one()
+        for h in rest:
+            r = r * alg.gen(h.name)
+        head = r if g.index == k else alg.zero()
+        tail = alg.gen(g.name) * on_word(rest)
+        return head + (tail if g.degree % 2 == 0 else -tail)
+
+    result = alg.zero()
+    for key, c in u.terms.items():
+        word = [
+            alg.generators[key[p]] for p in range(0, len(key), 2) for _ in range(key[p + 1])
+        ]
+        result = result + on_word(word).scale(c)
+    return result
 
 
 def closed_two_forms_naive(dga: FreeDGA) -> list[list[tuple[int, int, Fraction]]]:

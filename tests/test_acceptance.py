@@ -9,7 +9,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import betti_vector_naive, contraction_literal, validate_naive
+from oracles import betti_vector_naive, contraction_literal, include_by_name, validate_naive
 
 from nilsplit import catalog
 from nilsplit.bundles import (
@@ -82,12 +82,16 @@ def test_criterion_2_eq1_identity(catalog_models):
             alpha = [[F(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
             tm = TwistedModel(base, fiber, alpha)
             ob = hamiltonian_obstruction(tm, omega)
-            # D of the built total model does not go through the contractions
-            assert ob.full == tm.total.d(tm.include_fiber(omega.omega))
+            # d omega + sum_j a_j theta_j(omega) by Element products, with the
+            # literal contraction formula as theta_j
+            total = tm.total.algebra
+            want_full = include_by_name(fiber.d(omega.omega), total)
             for j, gen_name in enumerate(base.twist_gen_names):
                 column = [alpha[k][j] for k in range(n)]
                 want = contraction_literal(omega.omega, column)
+                want_full = want_full + total.gen(gen_name) * include_by_name(want, total)
                 assert ob.per_generator[gen_name] == want
+            assert ob.full == want_full
             checked += 1
         assert checked >= 100
 

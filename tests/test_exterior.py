@@ -21,7 +21,7 @@ from nilsplit.exterior import (
     exact,
 )
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_dga
-from oracles import d_of_monomial_naive, monomials_naive
+from oracles import contraction_by_leibniz, d_of_monomial_naive, monomials_naive
 
 
 @pytest.fixture
@@ -328,8 +328,23 @@ def test_contract_is_a_degree_minus_one_derivation(mixed):
         contract(mixed.gen("a1"), {3: Fraction(1)})  # a1 has degree 2
 
 
-def test_contraction_columns_match_contract(mixed, catalog_models):
-    """Column k holds contract(u, {k: 1}) at the rows (index of u, monomial)."""
+def test_contract_refuses_an_earlier_generator_of_degree_other_than_one():
+    """contract needs degree 1 on every generator up to the last contracted one."""
+    alg = GradedAlgebra([("x1", 1), ("a", 2), ("x2", 1), ("b", 3)])
+    u = alg.gen("x1") * alg.gen("x2")
+    message = "contraction needs degree-1 generators; 'a' has degree 2"
+    for alpha in ({2: Fraction(1)}, {0: Fraction(1), 2: Fraction(-2)}, {1: Fraction(1)}):
+        with pytest.raises(StructuralError, match=message):
+            contract(u, alpha)
+        with pytest.raises(StructuralError, match=message):
+            contract(alg.zero(), alpha)
+    # x1 comes before a, and a zero value does not contract a
+    assert contract(u, {0: Fraction(3), 1: Fraction(0)}) == alg.gen("x2").scale(3)
+
+
+def test_contraction_columns_match_leibniz_oracle(mixed, catalog_models):
+    """Column k holds iota_k(u) at the rows (index of u, monomial), with
+    iota_k from the graded Leibniz rule over Element products."""
     rng = random.Random(606)
     cases = [([_random_element(rng, mixed, 4) for _ in range(3)], 3)]  # x1..x3 only
     for model in catalog_models.values():
@@ -343,7 +358,7 @@ def test_contraction_columns_match_contract(mixed, catalog_models):
             want = {
                 (r, key): c
                 for r, u in enumerate(elements)
-                for key, c in contract(u, {k: 1}).terms.items()
+                for key, c in contraction_by_leibniz(u, k).terms.items()
             }
             assert columns[k] == want, k
     with pytest.raises(StructuralError):

@@ -32,11 +32,12 @@ from nilsplit.bundles import (
     flat_alpha_space,
     forcing_check,
     formal_even_base,
+    kunneth_convolution,
     sphere_base,
 )
 from nilsplit import linalg
 from nilsplit.cohomology import Cohomology, DegreeSlice
-from nilsplit.exterior import Element
+from nilsplit.exterior import Element, contract
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
 from nilsplit.symplectic import (
     SymplecticForm,
@@ -611,6 +612,50 @@ def test_wang_total_betti_matches_total_model_oracle(fibers, corpus):
         assert list(csplit_compare(tm, low).total) == got[: low + 1], (model.algebra, alpha, low)
     # theta_* != 0 on these twists, so the ranks r_k enter the formula
     assert moved >= len(models) // 2
+
+
+def test_wang_ranks_are_symmetric(catalog_models, corpus):
+    """r_k = r_{n+1-k} for r_k the rank of theta_*: H^k -> H^{k-1}.
+
+    For u in H^k and v in H^{n+1-k}, theta(uv) = 0 since uv has degree
+    n + 1, so theta_* on H^k is adjoint to theta_* on H^{n+1-k} under the
+    top-degree pairing. r_k is counted as _wang_betti counts it.
+    """
+    rng = random.Random(1956)
+    models = list(catalog_models.values()) + [ce_model(_filiform(8))] + corpus
+    moved = 0
+    for model in models:
+        n, coh = model.n, model.cohomology
+        theta = build_twisted(model, sphere_base(), _random_admissible_twist(rng, model)).theta(0)
+        r = [0] + [
+            coh.basis(k - 1).rank_of(contract(z, theta) for z in coh.basis(k).representatives)
+            for k in range(1, n + 1)
+        ]
+        assert all(r[k] == r[n + 1 - k] for k in range(1, n + 1)), (model.spec, theta, r)
+        moved += any(r)
+    assert moved == len(models), moved  # every twist has theta_* != 0
+
+
+def direct_sum(g: LieAlgebraSpec, h: LieAlgebraSpec) -> LieAlgebraSpec:
+    """g + h with h's basis after g's; brackets across the summands vanish."""
+    shifted = tuple((i + g.dim, j + g.dim, k + g.dim, c) for i, j, k, c in h.brackets)
+    return LieAlgebraSpec(dim=g.dim + h.dim, brackets=g.brackets + shifted)
+
+
+def test_kunneth_for_direct_sums():
+    """H(g + h) = H(g) tensor H(h): the Betti vector of the sum is the
+    convolution of the factors' vectors, also in a permuted basis of the sum."""
+    rng = random.Random(91)
+    pool = random_nilpotent_specs(seed=91, count=20, dims=(3, 4, 5))
+    for g, h in zip(pool[::2], pool[1::2]):
+        total = direct_sum(g, h)
+        n = total.dim
+        bg, bh = (ce_model(s).cohomology.betti_vector(s.dim) + [0] * (n - s.dim) for s in (g, h))
+        want = kunneth_convolution(bg, bh, n)
+        assert ce_model(total).cohomology.betti_vector(n) == want, (g, h)
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        assert ce_model(permuted(total, sigma)).cohomology.betti_vector(n) == want, (g, h, sigma)
 
 
 def test_invariants_at_dims_9_and_10():

@@ -128,6 +128,37 @@ def test_d_squared_iff_jacobi_on_random_tables():
     assert seen_pass >= 20 and seen_fail >= 20
 
 
+def test_ce_dga_images_match_a_per_generator_build():
+    """d x_k = -sum c_ij^k x_i x_j, built here per k from spec.brackets with
+    Element products, on shuffled tables with zero constants and several k
+    per pair (i, j)."""
+    rng = random.Random(226)
+    zeros = shared = 0
+    for _ in range(150):
+        dim = rng.randint(1, 6)
+        brackets = [
+            (i, j, k, F(rng.choice([-2, -1, 0, 0, 1, 3]), rng.choice([1, 1, 2])))
+            for i in range(1, dim + 1)
+            for j in range(i + 1, dim + 1)
+            for k in range(1, dim + 1)
+            if rng.random() < 0.4
+        ]
+        rng.shuffle(brackets)
+        candidate = LieAlgebraSpec(dim=dim, brackets=tuple(brackets))
+        dga = ce_dga(candidate)
+        alg = dga.algebra
+        for k in range(1, dim + 1):
+            want = alg.zero()
+            for i, j, k2, c in candidate.brackets:
+                if k2 == k:
+                    want = want - (alg.gen(f"x{i}") * alg.gen(f"x{j}")).scale(c)
+            assert dga.d.image_of_generator(f"x{k}") == want, (candidate, k)
+        pairs = [(i, j) for i, j, _, _ in brackets]
+        zeros += sum(not c for *_, c in brackets)
+        shared += len(pairs) - len(set(pairs))
+    assert zeros >= 50 and shared >= 50, (zeros, shared)
+
+
 def _assert_matches_oracle(candidate):
     report = validate(candidate)
     expected = validate_naive(candidate)
