@@ -28,14 +28,12 @@ alpha at once and decides whether they force alpha = 0. When they do, the
 only admissible model is the product one, and total cohomology splits as
 base tensor fiber.
 
-Total Betti numbers come from one of three paths:
+Total Betti numbers come from one of two paths:
 - alpha = 0, any base: the total DGA is base tensor fiber, so its Betti
   vector is the Kunneth convolution;
-- S2 base, alpha != 0: theta anticommutes with d once D^2 = 0, and the Wang
-  sequence gives b_k(E) = (b_k - r_k) + (b_{k-2} - r_{k-1}) with b the
-  fiber's Betti numbers and r_k the rank of theta_*: H^k(F) -> H^{k-1}(F),
-  all computed on the fiber;
-- formal base, alpha != 0: the cohomology of the total model itself.
+- alpha != 0, any base: the cohomology of the total model's minimal
+  model, which _minimal_model reaches by cancelling rank alpha contractible
+  pairs (x_k, D x_k).
 Comparing the total vector with the convolution makes the splitting
 checkable degree by degree. BaseModel and the results ObstructionReport,
 ForcingReport and CsplitVerdict are immutable named tuples.
@@ -303,27 +301,56 @@ def flat_alpha_space(fiber: CEModel, base: BaseModel):
     return _solve_alphas(fiber, base.m, None)
 
 
-def _wang_betti(tm: TwistedModel, cap: int) -> list[int]:
-    """b_k(E) = (b_k - r_k) + (b_{k-2} - r_{k-1}), r_k = rank theta_* on H^k.
+def _minimal_model(dga: FreeDGA) -> FreeDGA:
+    """dga with its contractible pairs (x, Dx) cancelled: no image keeps a
+    linear term, so what is left is minimal.
 
-    theta d + d theta is a degree-0 derivation that vanishes on generators
-    once theta(d x_k) = 0, so theta maps cocycles to cocycles and
-    coboundaries to coboundaries; r_k is the rank of the induced map
-    H^k(F) -> H^{k-1}(F) on the class bases of the fiber's analyzer.
+    While some Dx = c a + rest with a a generator and c != 0, the ideal
+    (x, Dx) is D-stable and acyclic, and the quotient by it has the same
+    cohomology: every Sullivan algebra is a minimal one tensor a
+    contractible one (Felix-Halperin-Thomas, GTM 205, section 14). The
+    quotient is free on the other generators, in their order, with x -> 0
+    and a -> -rest / c in every image; relabelling drops every term with x
+    or a, the c a of Dx among them. On a total model a is an even base
+    generator, so a^e moves past the rest of its monomial with no sign.
     """
-    theta = tm.theta(0)
-    fiber = tm.fiber.cohomology
-    b = fiber.betti_vector(cap)
-    r = [0] * (cap + 1)
-    for k in range(1, cap + 1):
-        if b[k] and b[k - 1]:
-            target = fiber.basis(k - 1)
-            r[k] = target.rank_of(
-                contract(z, theta) for z in fiber.basis(k).representatives
-            )
-    return [
-        b[k] - r[k] + (b[k - 2] - r[k - 1] if k >= 2 else 0) for k in range(cap + 1)
-    ]
+    while True:
+        alg = dga.algebra
+        pair = next(
+            (
+                (g.index, key[0], c)
+                for g in alg.generators
+                for key, c in dga.d.image_of_generator(g.name).terms.items()
+                if len(key) == 2 and key[1] == 1
+            ),
+            None,
+        )
+        if pair is None:
+            return dga
+        x, a, c = pair
+        kept = [g for g in alg.generators if g.index not in (x, a)]
+        quotient = GradedAlgebra([(g.name, g.degree) for g in kept])
+        index_map = [None] * len(alg.generators)
+        for j, g in enumerate(kept):
+            index_map[g.index] = j
+        dx = dga.d.image_of_generator(alg.generators[x].name)
+        # powers[e] is the image of a^e
+        powers = [quotient.one(), _relabel(dx, quotient, index_map).scale(Fraction(-1, c))]
+        images = {}
+        for g in kept:
+            plain, img = {}, quotient.zero()
+            for key, coeff in dga.d.image_of_generator(g.name).terms.items():
+                blocks = dict(zip(key[::2], key[1::2]))
+                e = blocks.pop(a, 0)
+                if not e:
+                    plain[key] = coeff
+                    continue
+                while len(powers) <= e:
+                    powers.append(powers[-1] * powers[1])
+                others = tuple(v for block in blocks.items() for v in block)
+                img = img + powers[e] * _relabel(Element(alg, {others: coeff}), quotient, index_map)
+            images[g.name] = img + _relabel(Element(alg, plain), quotient, index_map)
+        dga = FreeDGA(quotient, Derivation(quotient, images))
 
 
 def kunneth_convolution(base_betti: list[int], fiber_betti: list[int], cap: int):
@@ -348,9 +375,9 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
     space. expected is the Kunneth convolution, and so is total at
     alpha = 0. This is where a nonzero twist is checked: D^2 = 0 on every
     generator comes first, before any cohomology, and TwistIncompatibleError
-    names a witness otherwise. total then comes from the Wang sequence over
-    S2 and from the cohomology of the total model over a formal base. The
-    fiber's analyzer is its model's shared one (CEModel.cohomology).
+    names a witness otherwise. total is then the cohomology of the total
+    model's minimal model (_minimal_model), on any base. The fiber's
+    analyzer is its model's shared one (CEModel.cohomology).
     """
     alpha_zero = tm.alpha_is_zero()
     if not alpha_zero:
@@ -361,10 +388,8 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
     expected = kunneth_convolution(base, tm.fiber.cohomology.betti_vector(cap), cap)
     if alpha_zero:
         total = expected
-    elif tm.base.kind == "s2":
-        total = _wang_betti(tm, cap)
     else:
-        total = Cohomology(tm.total).betti_vector(cap)
+        total = Cohomology(_minimal_model(tm.total)).betti_vector(cap)
     return CsplitVerdict(
         c_splits=total == expected,
         cap=cap,

@@ -6,8 +6,8 @@ contribute boundedly many exponents per degree). A DegreeSlice fixes the
 sorted monomial basis in degree k and the sparse images of d on it. One
 exact echelon of those images, fed in basis order, gives the rank of d on
 C^k and a cocycle basis of Z^k; a second one, [coboundaries | cocycles],
-picks representatives of H^k and ranks sets of classes. Both depend only
-on the basis order, so repeated runs give identical bases.
+picks representatives of H^k. Both depend only on the basis order, so
+repeated runs give identical bases.
 
 A DGA on n generators of degree 1 with d = 0 on C^{n-1}, the CE model of
 a unimodular Lie algebra and so of every nilpotent one, satisfies
@@ -54,40 +54,6 @@ class DegreeSlice:
         return len(self.basis)
 
 
-class CohomologyBasis:
-    """Chosen representatives of H^k and the rank of sets of classes."""
-
-    def __init__(
-        self, dga: FreeDGA, degree: int, echelon: linalg.Echelon, n_boundary: int
-    ):
-        self.degree = degree
-        # kept vectors: independent coboundaries, then the representatives
-        self._echelon = echelon
-        self._n_boundary = n_boundary
-        self.representatives = [Element(dga.algebra, z) for z in echelon.kept[n_boundary:]]
-        self.betti = len(self.representatives)
-
-    def rank_of(self, cocycles) -> int:
-        """Rank of the classes of degree-k cocycles, without their coordinates.
-
-        Each cocycle is eliminated once against [coboundaries | cocycle
-        basis], which spans exactly Z^k once d^2 = 0. Its factors over the
-        reduced kept vectors at the representative positions are its class
-        coordinates under one invertible triangular change (see
-        linalg.Echelon.eliminate), so they span a space of the same rank. A
-        non-cocycle, or a monomial of another degree, leaves a remainder and
-        is refused.
-        """
-        first = self._n_boundary
-        classes = linalg.Echelon()
-        for u in cocycles:
-            rest, factors = self._echelon.eliminate(u.terms)
-            if rest:
-                raise StructuralError(f"not a cocycle of degree {self.degree}")
-            classes.add({q: f for q, f in factors.items() if q >= first})
-        return len(classes.kept)
-
-
 class Cohomology:
     """Per-degree cohomology analyzer with cached slices, ranks and bases.
 
@@ -115,7 +81,8 @@ class Cohomology:
         self._cycles: dict[int, tuple[int, list[dict]]] = {}
         # k -> echelon of d(C^k) inside C^{k+1}, until basis(k + 1) takes it
         self._images: dict[int, linalg.Echelon] = {}
-        self._bases: dict[int, CohomologyBasis] = {}
+        # k -> representatives of H^k
+        self._bases: dict[int, list[Element]] = {}
         self.duality = _duality(dga)
 
     def slice(self, k: int) -> DegreeSlice:
@@ -169,8 +136,10 @@ class Cohomology:
         alg = self.dga.algebra
         return [Element(alg, z) for z in self._differential(k)[1]]
 
-    def basis(self, k: int) -> CohomologyBasis:
-        """Representative cocycles for H^k, deterministic via echelon order."""
+    def basis(self, k: int) -> list[Element]:
+        """Representative cocycles for H^k, deterministic via echelon order:
+        the cocycle basis vectors that enlarge the span of the coboundaries
+        and of the cocycles before them."""
         if k not in self._bases:
             cocycles = self._differential(k)[1]
             if k:
@@ -182,7 +151,8 @@ class Cohomology:
             n_boundary = len(echelon.kept)
             for z in cocycles:
                 echelon.add(z)
-            self._bases[k] = CohomologyBasis(self.dga, k, echelon, n_boundary)
+            alg = self.dga.algebra
+            self._bases[k] = [Element(alg, z) for z in echelon.kept[n_boundary:]]
         return self._bases[k]
 
     def euler_characteristic(self, cap: int) -> int:

@@ -216,7 +216,7 @@ class CEModel:
     @cached_property
     def cohomology(self) -> Cohomology:
         """This model's one analyzer, built on first use: the Z^2 basis, hard
-        Lefschetz, the Wang ranks and the Kunneth vector share its caches."""
+        Lefschetz and the Kunneth vector share its caches."""
         return Cohomology(self.dga)
 
     def generator_names(self) -> list[str]:

@@ -45,9 +45,8 @@ class Echelon:
 
         reduced[q] is kept vector q reduced against the kept vectors before
         it and scaled to pivot 1, so the reduced vectors are the kept ones
-        under an invertible lower triangular change: the factors at
-        positions >= s and the combination over the kept vectors at
-        positions >= s determine each other, for every s.
+        under an invertible lower triangular change, which kernel undoes
+        in _combination.
         """
         rest = dict(vector)
         factors = {}

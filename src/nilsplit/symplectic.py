@@ -475,7 +475,7 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     for k in range(half + 1):
         p, q = half - k, half + k
         if k:
-            reps = [_bits(a) for a in coh.basis(p).representatives]
+            reps = [_bits(a) for a in coh.basis(p)]
             power = _times(form, power)
             factor = _factor(power)
             rk = _pairing_rank((_times(factor, a) for a in reps), reps, n)
