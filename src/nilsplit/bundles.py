@@ -232,7 +232,7 @@ def _solve_alphas(fiber: CEModel, m: int, omega: Element | None):
     conditions = [fiber.d.image_of_generator(g.name) for g in fiber.algebra.generators]
     if omega is not None:
         conditions.append(omega)
-    _, kernel = linalg.kernel(contraction_columns(conditions, n))
+    kernel = linalg.kernel(contraction_columns(conditions, n))
     return [
         tuple(
             tuple(v.get(k, ZERO) if j == col else ZERO for j in range(m))

@@ -5,9 +5,10 @@ is finite dimensional even when the algebra is not (polynomial generators
 contribute boundedly many exponents per degree). A DegreeSlice fixes the
 sorted monomial basis in degree k and the sparse images of d on it. One
 exact echelon of those images, fed in basis order, gives the rank of d on
-C^k and a cocycle basis of Z^k; a second one, [coboundaries | cocycles],
-picks representatives of H^k. Both depend only on the basis order, so
-repeated runs give identical bases.
+C^k and a cocycle basis of Z^k. It depends only on the basis order, so
+repeated runs give identical bases. No class representatives are picked:
+under Poincare duality a coboundary pairs to zero with every cocycle, so
+hard Lefschetz, the one reader of classes, pairs cocycles.
 
 A DGA on n generators of degree 1 with d = 0 on C^{n-1}, the CE model of
 a unimodular Lie algebra and so of every nilpotent one, satisfies
@@ -55,7 +56,7 @@ class DegreeSlice:
 
 
 class Cohomology:
-    """Per-degree cohomology analyzer with cached slices, ranks and bases.
+    """Per-degree cohomology analyzer with cached ranks and cocycle bases.
 
     Each differential d: C^k -> C^{k+1} is eliminated once; its rank serves
     both b_k and b_{k+1}. Every method takes an explicit degree and builds
@@ -71,38 +72,29 @@ class Cohomology:
     dim C^k = C(n, k) without building the slice: a Betti table reads
     slices up to degree (n-1)/2 only. Without it every degree is
     eliminated directly, as for bundle models, whose base generators are
-    even. `cocycles` and `basis` always eliminate their own degree.
+    even. `cocycles` always eliminates its own degree. Each eliminated
+    degree keeps one record, (dim C^k, rank of d on C^k, Z^k); its slice
+    is dropped.
     """
 
     def __init__(self, dga: FreeDGA):
         self.dga = dga
-        self._slices: dict[int, DegreeSlice] = {}
-        # k -> (rank of d on C^k, cocycle basis of Z^k as term maps)
-        self._cycles: dict[int, tuple[int, list[dict]]] = {}
-        # k -> echelon of d(C^k) inside C^{k+1}, until basis(k + 1) takes it
-        self._images: dict[int, linalg.Echelon] = {}
-        # k -> representatives of H^k
-        self._bases: dict[int, list[Element]] = {}
+        # k -> (dim C^k, rank of d on C^k, cocycle basis of Z^k as term maps)
+        self._cycles: dict[int, tuple[int, int, list[dict]]] = {}
         self.duality = _duality(dga)
 
-    def slice(self, k: int) -> DegreeSlice:
-        if k not in self._slices:
-            self._slices[k] = DegreeSlice(self.dga, k)
-        return self._slices[k]
-
-    def _differential(self, k: int) -> tuple[int, list[dict]]:
-        """Rank of d on C^k and the cocycle basis of Z^k.
+    def _differential(self, k: int) -> tuple[int, int, list[dict]]:
+        """dim C^k, the rank of d on C^k and the cocycle basis of Z^k.
 
         A monomial whose image lies in the span of the images before it
         gives one cocycle: the monomial minus its combination of earlier
         monomials, in the reduced echelon normal form.
         """
         if k not in self._cycles:
-            s = self.slice(k)
-            echelon, kernel = linalg.kernel(s.images)
+            s = DegreeSlice(self.dga, k)
+            kernel = linalg.kernel(s.images)
             cocycles = [{s.basis[i]: x for i, x in v.items()} for v in kernel]
-            self._images[k] = echelon
-            self._cycles[k] = (len(echelon.kept), cocycles)
+            self._cycles[k] = (s.dim, s.dim - len(kernel), cocycles)
         return self._cycles[k]
 
     def rank(self, k: int) -> int:
@@ -117,7 +109,7 @@ class Cohomology:
             mirror = n - 1 - k
             if mirror < k or mirror in self._cycles:
                 k = mirror
-        return self._differential(k)[0]
+        return self._differential(k)[1]
 
     def betti(self, k: int) -> int:
         """dim C^k - rank d_k - rank d_{k-1}, by exact ranks; under duality
@@ -125,7 +117,7 @@ class Cohomology:
         if k < 0:
             return 0
         n = self.duality
-        dim = comb(n, k) if n is not None else self.slice(k).dim
+        dim = comb(n, k) if n is not None else self._differential(k)[0]
         return dim - self.rank(k) - self.rank(k - 1)
 
     def betti_vector(self, cap: int) -> list[int]:
@@ -134,26 +126,7 @@ class Cohomology:
     def cocycles(self, k: int) -> list[Element]:
         """Basis of the degree-k cocycles Z^k, deterministic via echelon order."""
         alg = self.dga.algebra
-        return [Element(alg, z) for z in self._differential(k)[1]]
-
-    def basis(self, k: int) -> list[Element]:
-        """Representative cocycles for H^k, deterministic via echelon order:
-        the cocycle basis vectors that enlarge the span of the coboundaries
-        and of the cocycles before them."""
-        if k not in self._bases:
-            cocycles = self._differential(k)[1]
-            if k:
-                # the images of C^{k-1}, in basis order, are the coboundaries
-                self._differential(k - 1)
-                echelon = self._images.pop(k - 1)
-            else:
-                echelon = linalg.Echelon()
-            n_boundary = len(echelon.kept)
-            for z in cocycles:
-                echelon.add(z)
-            alg = self.dga.algebra
-            self._bases[k] = [Element(alg, z) for z in echelon.kept[n_boundary:]]
-        return self._bases[k]
+        return [Element(alg, z) for z in self._differential(k)[2]]
 
     def euler_characteristic(self, cap: int) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_vector(cap)))

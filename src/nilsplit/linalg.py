@@ -10,9 +10,9 @@ vector's factors over the reduced kept vectors, which is all a rank needs.
 `kernel` takes sparse columns and is the one place that rewrites factors
 as a combination of the kept columns, for its dependent ones. Which
 vectors are kept and those combinations depend only on the arrival order,
-never on how elimination proceeds, so the kernel bases and representatives
-built on top are byte-stable. A rank is the number of vectors an
-`Echelon` keeps.
+never on how elimination proceeds, so the kernel bases built on top are
+byte-stable. A rank is the number of vectors an `Echelon` keeps, or the
+number of columns `kernel` is given minus the length of its kernel.
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ def _combination(steps, factors: dict[int, Fraction]) -> dict[int, Fraction]:
     return combination
 
 
-def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
-    """Echelon of the sparse columns and a basis of their right kernel.
+def kernel(columns) -> list[dict[int, Fraction]]:
+    """A basis of the right kernel of the sparse columns; their rank is the
+    number of columns minus its length.
 
     Each column is eliminated once, and its combination over the pivot
     columns is built only when it is dependent, from the elimination steps
@@ -144,4 +145,4 @@ def kernel(columns) -> tuple[Echelon, list[dict[int, Fraction]]]:
         v = {pivot_columns[q]: -combination[q] for q in sorted(combination)}
         v[j] = ONE
         basis.append(v)
-    return echelon, basis
+    return basis

@@ -27,12 +27,15 @@ product that vanishes never reaches the echelon, and the top level ends at
 its first nonzero product, since top degree is a line.
 
 Hard Lefschetz for a certified form ranks [omega]^k : H^{n/2-k} ->
-H^{n/2+k} as the pairing <omega^k a_i, a_j> over the representatives a_j
-of H^{n/2-k}, which Poincare duality makes perfect. Its products and the
-dual table of the pairing are bit sets too, and every product here, in
-the chain and in hard Lefschetz, is one step (_times): a left factor
-listed by its terms times a bit-set element, with the Koszul sign read
-off one popcount per pair of terms. No Element product is formed.
+H^{n/2+k} as the pairing <omega^k z_i, z_j> over a basis z_j of the
+cocycles Z^{n/2-k}: Poincare duality makes the pairing on classes perfect,
+and its certificate, d = 0 on C^{n-1}, makes every coboundary pair to
+zero with every cocycle, so no class representatives are needed. Its
+products and the dual table of the pairing are bit sets too, and every
+product here, in the chain and in hard Lefschetz, is one step (_times):
+a left factor listed by its terms times a bit-set element, with the
+Koszul sign read off one popcount per pair of terms. No Element product
+is formed.
 
 The results, SymplecticForm, SymplecticCertificate, SymplecticSearchResult
 and LefschetzEntry, are immutable named tuples.
@@ -114,7 +117,7 @@ def is_symplectic(model: CEModel, omega: Element) -> SymplecticCertificate:
     SymplecticForm.from_element(model, omega)
     d_omega = model.d(omega)
     n = model.n
-    _, kernel = linalg.kernel(contraction_columns([omega], n))
+    kernel = linalg.kernel(contraction_columns([omega], n))
     rank = n - len(kernel)
     witness = tuple(kernel[0].get(k, ZERO) for k in range(n)) if kernel else None
     return SymplecticCertificate(
@@ -279,7 +282,7 @@ def _common_kernel_vector(omegas: list[Element], n: int):
     the forms' terms by exterior.contraction_columns, as is_symplectic reads
     one form's, so X is given the way a kernel witness is.
     """
-    _, kernel = linalg.kernel(contraction_columns(omegas, n))
+    kernel = linalg.kernel(contraction_columns(omegas, n))
     return tuple(kernel[0].get(k, ZERO) for k in range(n)) if kernel else None
 
 
@@ -448,17 +451,21 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     Betti numbers agree and the map has full rank. The model's analyzer
     must certify Poincare duality (Cohomology.duality is n), or this
     refuses: then b_{h+k} = b_{h-k}, and the pairing of H^{h+k} with
-    H^{h-k}, the top coefficient of a product, is perfect, so a class of
-    degree h+k is zero iff it pairs to zero with every representative a_j
-    of H^{h-k}. The rank of [omega]^k is thus the rank of the b x b matrix
-    <omega^k a_i, a_j> (see _pairing_rank), and no class basis above
-    degree h - 1 is built. k = 0 is the identity on H^h, of rank b_h.
+    H^{h-k}, the top coefficient of a product, is perfect. The same
+    certificate, d = 0 on C^{n-1}, makes a coboundary pair to zero with
+    every cocycle: for z in Z^{h-k} and y in C^{h-k-1}, omega^k z is closed
+    and d(omega^k z y) = 0, so <omega^k z, dy> = 0, and likewise
+    <omega^k dy, z> = 0. The matrix <omega^k z_i, z_j> over a cocycle basis
+    z of Z^{h-k} (see _pairing_rank) thus has the rank of the pairing on
+    classes, which is the rank of [omega]^k, and no class representative
+    is picked. Only Z^p for p < h is read. k = 0 is the identity on H^h,
+    of rank b_h.
 
     Everything is on bit-set monomials, with the one product step _times:
     omega is scaled to integer coefficients (the rank of a matrix times a
     nonzero constant is unchanged), omega^k = omega * omega^{k-1} is formed
-    once per k, each representative is converted to a bit-set map once,
-    and omega^k a_i is one product of the two.
+    once per k, each cocycle is converted to a bit-set map once, and
+    omega^k z_i is one product of the two.
     """
     if sf.model.algebra is not model.algebra:
         raise StructuralError("form and model live over different generator sets")
@@ -474,13 +481,13 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     entries = []
     for k in range(half + 1):
         p, q = half - k, half + k
+        bp = coh.betti(p)
         if k:
-            reps = [_bits(a) for a in coh.basis(p)]
+            cocycles = [_bits(z) for z in coh.cocycles(p)]
             power = _times(form, power)
             factor = _factor(power)
-            rk = _pairing_rank((_times(factor, a) for a in reps), reps, n)
-            bp = len(reps)
+            rk = _pairing_rank((_times(factor, z) for z in cocycles), cocycles, n)
         else:
-            bp = rk = coh.betti(half)
+            rk = bp
         entries.append(LefschetzEntry(k, p, q, bp, bp, rk, bp == rk))
     return entries

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import betti_vector_naive, class_rank_naive, d_of_monomial_naive
+from oracles import betti_vector_naive, d_of_monomial_naive
 
 from nilsplit import catalog
 from nilsplit.bundles import build_twisted, flat_alpha_space, formal_even_base, sphere_base
@@ -96,34 +96,6 @@ def test_betti_matches_naive_oracle(catalog_models):
         oracle = betti_vector_naive(model.dga, model.n)
         assert production == oracle, name
         assert oracle == oracle[::-1], name
-
-
-def test_representatives_torus2():
-    t2 = ce_model(LieAlgebraSpec(dim=2, brackets=()))
-    basis = Cohomology(t2.dga).basis(1)
-    assert [str(r) for r in basis] == ["x1", "x2"]
-
-
-def test_representatives_kt_degree_one(kt):
-    basis = Cohomology(kt.dga).basis(1)
-    assert [str(r) for r in basis] == ["x1", "x2", "x4"]
-
-
-def test_zero_betti_means_no_representatives():
-    coh = Cohomology(sphere_base().dga)
-    assert coh.basis(3) == []
-    assert coh.basis(1) == []
-
-
-def test_representatives_are_a_class_basis(catalog_models):
-    """basis(k) holds b_k cocycles whose classes the dense oracle finds
-    independent, so they span H^k."""
-    for name, model in catalog_models.items():
-        coh = Cohomology(model.dga)
-        for k in range(model.n + 1):
-            basis = coh.basis(k)
-            assert len(basis) == coh.betti(k), (name, k)
-            assert class_rank_naive(model.dga, k, basis) == len(basis), (name, k)
 
 
 def test_poincare_duality_and_euler(catalog_models):
@@ -259,12 +231,12 @@ def test_betti_table_builds_only_the_lower_half():
         coh = ce_model(spec).cohomology
         betti = coh.betti_vector(n)
         assert betti == betti[::-1], spec
-        assert sorted(coh._slices) == list(range((n - 1) // 2 + 1)), spec
+        assert sorted(coh._cycles) == list(range((n - 1) // 2 + 1)), spec
 
 
-def test_symplectic_job_builds_no_class_basis_above_the_middle():
-    """find_symplectic reads Z^2; hard Lefschetz reads H^{<n/2} and the
-    ranks of the lower half, never a slice or class basis above them."""
+def test_symplectic_job_eliminates_no_degree_above_the_middle():
+    """find_symplectic reads Z^2; hard Lefschetz reads Z^{<n/2} and the
+    ranks of the lower half, never a degree above them."""
     decided = 0
     for spec in WORK_SHAPE_SPECS:
         model = ce_model(spec)
@@ -274,8 +246,7 @@ def test_symplectic_job_builds_no_class_basis_above_the_middle():
         entries = hard_lefschetz(model, res.form)
         half = model.n // 2
         coh = model.cohomology
-        assert max(coh._slices) <= max(2, half - 1), spec
-        assert max(coh._bases, default=0) <= half - 1, spec
+        assert max(coh._cycles) <= max(2, half - 1), spec
         assert [e.target_betti for e in entries] == [coh.betti(half + e.k) for e in entries]
         decided += 1
     assert decided >= 7

@@ -386,6 +386,20 @@ def test_hard_lefschetz_matches_dense_oracle(
     assert defects >= 10  # most of these forms fail hard Lefschetz somewhere
 
 
+def _class_variants(rng, model, sf):
+    """(beta, (3/2) omega + d beta) for beta = 0 and three seeded 1-forms,
+    each form kept only while it still certifies as symplectic."""
+    betas = [model.algebra.zero()]
+    betas += [
+        model.algebra.element({(i, 1): rng.randint(-3, 3) for i in range(model.n)})
+        for _ in range(3)
+    ]
+    for beta in betas:
+        omega = sf.omega.scale(F(3, 2)) + model.d(beta)
+        if is_symplectic(model, omega).symplectic:
+            yield beta, SymplecticForm(model, omega)
+
+
 def test_hard_lefschetz_depends_only_on_the_class(
     catalog_models, symplectic_forms, corpus, searches, dim8_pairs
 ):
@@ -409,19 +423,10 @@ def test_hard_lefschetz_depends_only_on_the_class(
     kept = denser = 0
     for model, sf in cases:
         table = hard_lefschetz(model, sf)
-        betas = [model.algebra.zero()]
-        betas += [
-            model.algebra.element({(i, 1): rng.randint(-3, 3) for i in range(model.n)})
-            for _ in range(3)
-        ]
-        for beta in betas:
-            omega = sf.omega.scale(F(3, 2)) + model.d(beta)
-            if not is_symplectic(model, omega).symplectic:
-                continue
-            got = hard_lefschetz(model, SymplecticForm(model, omega))
-            assert got == table, (model.spec, sf, beta)
+        for beta, form in _class_variants(rng, model, sf):
+            assert hard_lefschetz(model, form) == table, (model.spec, sf, beta)
             kept += 1
-            denser += len(omega.terms) > len(sf.omega.terms)
+            denser += len(form.omega.terms) > len(sf.omega.terms)
     assert {model.n for model, _ in cases} >= {4, 6, 8}, [model.n for model, _ in cases]
     assert kept >= 100 and denser >= 60, (kept, denser)
 
@@ -442,11 +447,11 @@ def test_coefficients_are_exact_ints_or_fractions(catalog_models, corpus, dim8_p
     """Every coefficient the engine hands out is an int or a Fraction.
 
     Checked on the catalog, the corpus and the sheared dim-8 algebras: the d
-    of every monomial, every cocycle and representative, the kernel witness
-    of a degenerate closed form and the basis alphas it leaves to the
-    forcing system. The constants
-    are integers, so d divides nowhere and all of its coefficients are ints;
-    the sheared bases meet pivots other than +-1, so Fractions appear too.
+    of every monomial, every cocycle, the kernel witness of a degenerate
+    closed form and the basis alphas it leaves to the forcing system. The
+    constants are integers, so d divides nowhere and all of its
+    coefficients are ints; the sheared bases meet pivots other than +-1, so
+    Fractions appear too.
     """
     models = [*catalog_models.values(), *corpus, *(ce_model(other) for _, other in dim8_pairs)]
     seen = set()
@@ -456,10 +461,8 @@ def test_coefficients_are_exact_ints_or_fractions(catalog_models, corpus, dim8_p
             _assert_exact(row.values(), (where, "bracket"), integral_as_int=True)
         coh = Cohomology(model.dga)
         for k in range(model.n + 1):
-            for image in coh.slice(k).images:
+            for image in DegreeSlice(model.dga, k).images:
                 _assert_exact(image.values(), (where, "d", k), integral_as_int=True)
-            for z in coh.basis(k):
-                _assert_exact(z.terms.values(), (where, "representative", k))
             for z in coh.cocycles(k):
                 _assert_exact(z.terms.values(), (where, "cocycle", k))
                 seen.update(type(c) for c in z.terms.values())
@@ -496,7 +499,7 @@ def test_cohomology_invariants(corpus, dim8_pairs):
         assert coh.euler_characteristic(n) == 0
         assert betti[1] == n - model.report.derived_dim
         for k in range(n + 1):
-            for image in coh.slice(k).images:
+            for image in DegreeSlice(model.dga, k).images:
                 assert model.d(Element(model.algebra, image)).is_zero(), (model.spec, k)
 
 
@@ -690,15 +693,20 @@ def test_invariants_at_dims_9_and_10():
     """Past the dense oracles' reach, invariants that need no oracle.
 
     On seeded algebras of dims 9-10: b0 = 1, chi = 0 and b1 = n - dim[g, g];
-    every form found forces alpha = 0 over S2 and over formal:2; and under a
+    every form found forces alpha = 0 over S2 and over formal:2, and its
+    hard Lefschetz table has rank b_h at k = 0 and rank 1 at k = h = n/2,
+    no rank above its source Betti number, and is unchanged under
+    (3/2) omega + d beta for seeded 1-forms beta wherever that still
+    certifies (the first table also matches the dense oracle); and under a
     random admissible S2 twist the total space is a closed orientable
     (n+2)-manifold, so its Betti vector at cap n + 2 is palindromic with
     chi = 0.
     """
     rng = random.Random(910)
+    betas = random.Random(1988)
     specs = random_nilpotent_specs(seed=910, count=12, dims=(9, 10, 10))
     models = [ce_model(spec) for spec in specs]
-    found = moved = 0
+    found = moved = variants = 0
     for model in models:
         n, coh = model.n, model.cohomology
         betti = coh.betti_vector(n)
@@ -710,6 +718,19 @@ def test_invariants_at_dims_9_and_10():
             for base in (sphere_base(), formal_even_base(2)):
                 report = forcing_check(model, res.form, base)
                 assert report.forced_zero and report.solution_dimension == 0, (model.spec, base)
+            h = n // 2
+            table = hard_lefschetz(model, res.form)
+            assert [e.k for e in table] == list(range(h + 1)), model.spec
+            assert table[0].rank == betti[h] and table[h].rank == 1, (model.spec, table)
+            for e in table:
+                assert e.source_betti == betti[h - e.k] == betti[h + e.k], (model.spec, e)
+                assert e.rank <= e.source_betti, (model.spec, e)
+            for beta, form in _class_variants(betas, model, res.form):
+                assert hard_lefschetz(model, form) == table, (model.spec, beta)
+                variants += 1
+            if found == 1:  # one dense check at dim 10, about 1 s
+                want = lefschetz_ranks_naive(model.dga, res.form.omega, h)
+                assert [e.rank for e in table] == want, model.spec
         alpha = _random_admissible_twist(rng, model, sphere_base())
         verdict = csplit_compare(build_twisted(model, sphere_base(), alpha), n + 2)
         total = list(verdict.total)
@@ -717,4 +738,5 @@ def test_invariants_at_dims_9_and_10():
         assert sum((-1) ** k * b for k, b in enumerate(total)) == 0, (model.spec, alpha)
         moved += verdict.total != verdict.expected
     assert {m.n for m in models} == {9, 10} and found >= 3, found
+    assert variants >= 2 * found, (variants, found)
     assert moved == len(models), moved  # every twist really changes the vector

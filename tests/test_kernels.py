@@ -87,7 +87,7 @@ def test_nullspace_is_the_reduced_echelon_kernel(rows):
         if rank_naive([r[: j + 1] for r in rows]) == rank_naive([r[:j] for r in rows])
     ]
     columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
-    _, sparse = linalg.kernel(columns)
+    sparse = linalg.kernel(columns)
     kernel = [[v.get(j, 0) for j in range(ncols)] for v in sparse]
     assert len(kernel) == ncols - rank_naive(rows) == len(free)
     for v, f in zip(kernel, free):
@@ -114,7 +114,7 @@ def test_echelon_add_reports_span_growth_and_kernel_matches_nullspace():
             if grows:
                 kept.append(v)
         assert echelon.kept == kept
-        _, kernel = linalg.kernel(vectors)
+        kernel = linalg.kernel(vectors)
         rows = [[v.get(i, 0) for v in vectors] for i in range(5)]
         dense = [[u.get(j, 0) for j in range(len(vectors))] for u in kernel]
         assert dense == nullspace_naive(rows, len(vectors))
@@ -153,8 +153,10 @@ def test_non_unit_pivots_give_the_same_exact_kernel_from_ints_and_fractions():
         as_fractions = [{i: Fraction(x) for i, x in col.items()} for col in as_ints]
         results = []
         for columns in (as_ints, as_fractions):
-            echelon, kernel = linalg.kernel(columns)
-            kept = [j for j, col in enumerate(columns) if any(col is v for v in echelon.kept)]
+            kernel = linalg.kernel(columns)
+            # a kernel vector's free column is its largest index; the rest pivot
+            free = {max(v) for v in kernel}
+            kept = [j for j in range(ncols) if j not in free]
             assert all(_is_exact(x) for v in kernel for x in v.values())
             assert len(kept) == rank_naive(rows)
             dense_kernel = [[v.get(j, 0) for j in range(ncols)] for v in kernel]
@@ -162,7 +164,7 @@ def test_non_unit_pivots_give_the_same_exact_kernel_from_ints_and_fractions():
             results.append((kept, kernel))
             for _ in range(3):
                 vector = {i: x for i in range(nrows) if (x := rng.randint(-3, 3))}
-                _, wider = linalg.kernel([*columns, vector])
+                wider = linalg.kernel([*columns, vector])
                 assert all(_is_exact(x) for v in wider for x in v.values())
                 widened = [row + [vector.get(i, 0)] for i, row in enumerate(rows)]
                 dense_wider = [[v.get(j, 0) for j in range(ncols + 1)] for v in wider]
