@@ -14,19 +14,20 @@ differs from the fiber differential by base-ideal terms, which is the
 structural shape such models must have.
 
 On fiber elements D = d + sum_j a_j theta_j, where theta_j is the degree -1
-contraction with the j-th alpha column (exterior.contract). Hence
+contraction with the j-th alpha column: both sides are derivations that
+agree on the fiber generators, for every alpha, flat or not. Hence
 D^2 x_k = sum_j a_j theta_j(d x_k) and D(omega) = d omega + sum_j a_j
-theta_j(omega). The obstruction takes D(omega) from the total model's own
-differential and its a_j-coefficients from theta_j; the tests check that
-the two agree. D^2 = 0 is never assumed for a nonzero twist: csplit_compare
-checks it on every generator before it computes any cohomology and rejects
-incompatible alpha with a witness (build_twisted does the same for library callers). At
-alpha = 0 the model is base tensor a checked CE model and needs no check.
-The forcing solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0,
-the admissibility and Hamiltonian conditions for a closed omega, for all
-alpha at once and decides whether they force alpha = 0. When they do, the
-only admissible model is the product one, and total cohomology splits as
-base tensor fiber.
+theta_j(omega). The obstruction computes D(omega) in the total model and
+reads each theta_j(omega) off it as its a_j-part. D^2 = 0 is never
+assumed for a nonzero twist: csplit_compare checks it on every generator
+before it computes any cohomology and rejects incompatible alpha with a
+witness (build_twisted does the same for library callers). At alpha = 0
+the model is base tensor a checked CE model and needs no check. The
+forcing solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0, the
+admissibility and Hamiltonian conditions for a closed omega, for all
+alpha at once from exterior.contraction_columns, and decides whether they
+force alpha = 0. When they do, the only admissible model is the product
+one, and total cohomology splits as base tensor fiber.
 
 Total Betti numbers come from one of two paths:
 - alpha = 0, any base: the total DGA is base tensor fiber, so its Betti
@@ -52,7 +53,6 @@ from .exterior import (
     Element,
     FreeDGA,
     GradedAlgebra,
-    contract,
     contraction_columns,
     exact,
 )
@@ -172,11 +172,6 @@ class TwistedModel:
     def alpha_is_zero(self) -> bool:
         return all(not c for row in self.alpha for c in row)
 
-    def theta(self, j: int) -> dict[int, Fraction]:
-        """Column j of alpha (0-based) as the contraction map of exterior.contract;
-        contract(u, theta(j)) is the a_j-coefficient of D(u) for fiber u."""
-        return {k: row[j] for k, row in enumerate(self.alpha) if row[j]}
-
 
 def _require_flat(tm: TwistedModel) -> None:
     witness = tm.total.flatness_witness()
@@ -196,8 +191,10 @@ class ObstructionReport(namedtuple("ObstructionReport", "full per_generator hami
 
     full is D applied to omega in the total model, which equals
     d omega + sum_j a_j theta_j(omega), and per_generator[a_j] =
-    theta_j(omega), the contraction of omega with the j-th alpha column.
-    The model is Hamiltonian iff full == 0. omega need not be closed.
+    theta_j(omega), the contraction of omega with the j-th alpha column,
+    read off full as its a_j-part: one entry per twist generator, in
+    twist_gen_names order. The model is Hamiltonian iff full == 0. omega
+    need not be closed.
     """
 
     __slots__ = ()
@@ -207,9 +204,18 @@ def hamiltonian_obstruction(tm: TwistedModel, sf: SymplecticForm) -> Obstruction
     if sf.model.algebra is not tm.fiber.algebra:
         raise StructuralError("symplectic form lives on a different fiber")
     full = tm.total.d(tm.include_fiber(sf.omega))
+    # D(omega) has degree 3, so an a_j term is a_j times one fiber monomial
+    names = tm.base.twist_gen_names
+    index = {g.name: g.index for g in tm.base.dga.algebra.generators}
+    parts = {(index[name], 1): {} for name in names}
+    for key, c in full.terms.items():
+        part = parts.get(key[:2])
+        if part is not None:
+            part[key[2:]] = c
+    to_fiber = [None] * tm._fiber_index.start + list(range(tm.fiber.n))
     per_generator = {
-        name: contract(sf.omega, tm.theta(j))
-        for j, name in enumerate(tm.base.twist_gen_names)
+        name: _relabel(Element(tm.total.algebra, part), tm.fiber.algebra, to_fiber)
+        for name, part in zip(names, parts.values())
     }
     return ObstructionReport(
         full=full, per_generator=per_generator, hamiltonian=full.is_zero()

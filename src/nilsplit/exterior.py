@@ -17,8 +17,9 @@ rest by the Leibniz rule, merging keys straight into one term map, and
 caches that map per monomial; DegreeSlice reads the cached maps as its
 sparse columns.
 
-The contractions iota_k are formed once, in contraction_columns; contract
-combines its columns.
+The contractions iota_k are formed once, in contraction_columns; the
+forcing system, the nondegeneracy check and the common kernel of the
+symplectic search read their columns.
 
 Coefficients are exact rationals throughout. The downstream forcing
 argument is a statement about exact kernels of linear maps, so nothing in
@@ -467,25 +468,6 @@ class Derivation:
             for m, x in self.monomial_terms(key).items():
                 _accumulate(acc, m, c * x)
         return Element(self.algebra, acc)
-
-
-def contract(u: Element, alpha: Mapping[int, Fraction]) -> Element:
-    """theta(u) for the degree -1 derivation with theta(g_i) = alpha[i].
-
-    alpha maps generator indices to rationals; theta is sum_i alpha[i] iota_i,
-    a combination of the columns of contraction_columns([u], n) with n one
-    past the last index carrying a nonzero value. So generators 0..n-1 must
-    have degree 1, and theta(g_i) is a scalar. For a CE model and the vector
-    X with x_k(X) = alpha_k this is the interior product iota_X.
-    """
-    n = max((i for i, c in alpha.items() if c), default=-1) + 1
-    columns = contraction_columns([u], n)
-    acc: dict[tuple, Fraction] = {}
-    for i, c in alpha.items():
-        if c:
-            for (_, rest), v in columns[i].items():
-                _accumulate(acc, rest, c * v)
-    return Element(u.algebra, acc)
 
 
 def contraction_columns(elements, n: int) -> list[dict]:

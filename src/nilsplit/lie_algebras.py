@@ -167,16 +167,12 @@ def _validate(spec: LieAlgebraSpec, dga: FreeDGA) -> ValidationReport:
     # [g, g] is spanned by the nonzero rows of the table, [X_i, X_j], i < j.
     table = spec.bracket_table()
     echelon = linalg.Echelon()
-    for row in table.values():
-        echelon.add(row)
-    current = echelon.kept
+    current = [row for row in table.values() if echelon.add(row)]
     dims = [n, len(current)]
     while dims[-1] and dims[-1] != dims[-2]:
         echelon = linalg.Echelon()
-        for i in range(1, n + 1):
-            for w in current:
-                echelon.add(_bracket(table, {i: ONE}, w))
-        current = echelon.kept
+        brackets = (_bracket(table, {i: ONE}, w) for i in range(1, n + 1) for w in current)
+        current = [w for w in brackets if echelon.add(w)]
         dims.append(len(current))
     nilpotent = dims[-1] == 0
     nilpotency_class = len(dims) - 1 if nilpotent else None

@@ -5,14 +5,16 @@ rational: an int when integral, else a Fraction (exterior.exact); absent
 indices are zero. The one division is a pivot's inverse, so integral
 input stays in ints while the pivots it meets are +-1. `Echelon` keeps,
 in arrival order, the vectors that enlarge the span of those kept before
-them; `add` only says whether it kept a vector, and `eliminate` gives a
-vector's factors over the reduced kept vectors, which is all a rank needs.
-`kernel` takes sparse columns and is the one place that rewrites factors
-as a combination of the kept columns, for its dependent ones. Which
-vectors are kept and those combinations depend only on the arrival order,
-never on how elimination proceeds, so the kernel bases built on top are
-byte-stable. A rank is the number of vectors an `Echelon` keeps, or the
-number of columns `kernel` is given minus the length of its kernel.
+them, each only in reduced form: `add` says whether it kept a vector,
+`rank` counts the kept ones, and `eliminate` gives a vector's factors
+over the reduced kept vectors, which is all a rank needs. A caller that
+wants the kept vectors themselves collects those `add` accepts. `kernel`
+takes sparse columns and is the one place that rewrites factors as a
+combination of the kept columns, for its dependent ones. Which vectors
+are kept and those combinations depend only on the arrival order, never
+on how elimination proceeds, so the kernel bases built on top are
+byte-stable. A rank is an `Echelon`'s `rank`, or the number of columns
+`kernel` is given minus the length of its kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Echelon:
     """
 
     def __init__(self):
-        self.kept: list[dict] = []
+        self.rank = 0
         # pivot -> (kept position, reduced vector without its pivot entry)
         self._pivots: dict = {}
 
@@ -76,10 +78,10 @@ class Echelon:
 
     def add(self, vector: dict) -> bool:
         """Keep the vector if it enlarges the span; return whether it did."""
-        return self._keep(vector, self.eliminate(vector)[0]) is not None
+        return self._keep(self.eliminate(vector)[0]) is not None
 
-    def _keep(self, vector: dict, rest: dict) -> Fraction | None:
-        """Keep the vector given its remainder, unless the remainder is
+    def _keep(self, rest: dict) -> Fraction | None:
+        """Keep a vector given its remainder, unless the remainder is
         empty; return the inverse of its pivot entry, or None if not kept."""
         if not rest:
             return None
@@ -88,8 +90,8 @@ class Echelon:
         # +-1 is its own inverse; never int / int, which is a float
         inv = int(x) if x in (1, -1) else exact(Fraction(1) / x)
         tail = {i: exact(y * inv) for i, y in rest.items()}
-        self._pivots[p] = (len(self.kept), tail)
-        self.kept.append(vector)
+        self._pivots[p] = (self.rank, tail)
+        self.rank += 1
         return inv
 
 
@@ -136,7 +138,7 @@ def kernel(columns) -> list[dict[int, Fraction]]:
     basis = []
     for j, column in enumerate(columns):
         rest, factors = echelon.eliminate(column)
-        inv = echelon._keep(column, rest)
+        inv = echelon._keep(rest)
         if inv is not None:
             pivot_columns.append(j)
             steps.append((inv, factors))

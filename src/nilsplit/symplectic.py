@@ -441,7 +441,7 @@ def _pairing_rank(products, partners: list[dict], n: int) -> int:
                 else:
                     del row[j]
         rows.add(row)
-    return len(rows.kept)
+    return rows.rank
 
 
 def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:

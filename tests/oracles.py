@@ -22,7 +22,7 @@ symplectic decision formed by Element products, with independence decided
 by its own elimination. The
 interior product of a 2-form is here as the literal formula
 sum a_ij (alpha_i x_j - alpha_j x_i), next to the dense skew matrix
-(a_ij); neither goes through exterior.contract. The contraction iota_k of
+(a_ij); neither reads exterior.contraction_columns. The contraction iota_k of
 any element is here by the graded Leibniz rule over Element products,
 with no position parity. The rank of a set of
 classes is here as the rank of a dense stack of coboundaries and the

@@ -124,20 +124,36 @@ def test_obstruction_t2_nontrivial_twist(t2, t2_form):
     assert ob.per_generator["a"] == t2.algebra.gen("x2")
 
 
-def test_obstruction_coefficient_equals_contraction(kt, kt_form):
-    """The two routes to the linear condition agree for random alpha."""
+def test_obstruction_coefficient_equals_contraction(catalog_models, symplectic_forms):
+    """theta_j(omega), read off D(omega) as its a_j-part, is the literal
+    contraction of omega with column j of alpha: on every catalog fiber,
+    over S2 and formal bases with 2 and 3 generators, for seeded, mostly
+    non-flat alpha that include all-zero columns. A fiber without a
+    catalog form takes a seeded 2-form; omega need not be closed."""
     rng = random.Random(71)
-    base = formal_even_base(2)
-    for _ in range(40):
-        alpha = [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(4)]
-        tm = TwistedModel(base, kt, alpha)
-        ob = hamiltonian_obstruction(tm, kt_form)
-        for j, name in enumerate(base.twist_gen_names):
-            column = [alpha[k][j] for k in range(4)]
-            assert ob.per_generator[name] == contraction_literal(kt_form.omega, column), (
-                alpha,
-                name,
-            )
+    values = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)]
+    bases = [sphere_base(), formal_even_base(2), formal_even_base(3)]
+    runs = flat = 0
+    for fiber_name, model in catalog_models.items():
+        n = model.n
+        sf = symplectic_forms.get(fiber_name)
+        if sf is None:
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            sf = SymplecticForm.from_coeffs(model, [(i, j, rng.choice(values)) for i, j in pairs])
+        for base in bases:
+            for t in range(6):
+                columns = [[rng.choice(values) for _ in range(n)] for _ in range(base.m)]
+                if t < base.m:
+                    columns[t] = [F(0)] * n
+                tm = TwistedModel(base, model, [list(row) for row in zip(*columns)])
+                ob = hamiltonian_obstruction(tm, sf)
+                assert tuple(ob.per_generator) == base.twist_gen_names
+                for name, column in zip(base.twist_gen_names, columns):
+                    want = contraction_literal(sf.omega, column)
+                    assert ob.per_generator[name] == want, (fiber_name, base.kind, column)
+                runs += 1
+                flat += tm.total.flatness_witness() is None
+    assert flat < runs / 2, (flat, runs)
 
 
 def test_forcing_certified_forms_force_zero(catalog_models, symplectic_forms):

@@ -16,7 +16,6 @@ from nilsplit.exterior import (
     Element,
     FreeDGA,
     GradedAlgebra,
-    contract,
     contraction_columns,
     exact,
 )
@@ -308,38 +307,6 @@ def test_monomials_of_degree_recurse_per_block_not_per_generator():
     alg = GradedAlgebra([(f"x{i}", 1) for i in range(1500)])
     assert alg.monomials_of_degree(1) == [(i, 1) for i in range(1500)]
     assert alg.monomials_of_degree(0) == [()]
-
-
-def test_contract_is_a_degree_minus_one_derivation(mixed):
-    """theta(x_k) = alpha_k, graded Leibniz with sign (-1)^|u|, theta^2 = 0."""
-    rng = random.Random(505)
-    for _ in range(200):
-        alpha = {k: Fraction(rng.randint(-3, 3)) for k in range(3)}  # x1..x3
-        for k in range(3):
-            assert contract(mixed.gen(f"x{k + 1}"), alpha) == mixed.scalar(alpha[k])
-        p = rng.randint(0, 4)
-        u = _random_homogeneous(rng, mixed, p)
-        v = _random_element(rng, mixed, 3)
-        lhs = contract(u * v, alpha)
-        rhs = contract(u, alpha) * v + (u * contract(v, alpha)).scale(-1 if p % 2 else 1)
-        assert lhs == rhs
-        assert contract(contract(v, alpha), alpha).is_zero()
-    with pytest.raises(StructuralError):
-        contract(mixed.gen("a1"), {3: Fraction(1)})  # a1 has degree 2
-
-
-def test_contract_refuses_an_earlier_generator_of_degree_other_than_one():
-    """contract needs degree 1 on every generator up to the last contracted one."""
-    alg = GradedAlgebra([("x1", 1), ("a", 2), ("x2", 1), ("b", 3)])
-    u = alg.gen("x1") * alg.gen("x2")
-    message = "contraction needs degree-1 generators; 'a' has degree 2"
-    for alpha in ({2: Fraction(1)}, {0: Fraction(1), 2: Fraction(-2)}, {1: Fraction(1)}):
-        with pytest.raises(StructuralError, match=message):
-            contract(u, alpha)
-        with pytest.raises(StructuralError, match=message):
-            contract(alg.zero(), alpha)
-    # x1 comes before a, and a zero value does not contract a
-    assert contract(u, {0: Fraction(3), 1: Fraction(0)}) == alg.gen("x2").scale(3)
 
 
 def test_contraction_columns_match_leibniz_oracle(mixed, catalog_models):

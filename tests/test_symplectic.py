@@ -13,8 +13,8 @@ from oracles import (
     skew_matrix,
 )
 
+from nilsplit.bundles import TwistedModel, hamiltonian_obstruction, sphere_base
 from nilsplit.errors import StructuralError
-from nilsplit.exterior import contract
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
 from nilsplit.symplectic import (
     SymplecticForm,
@@ -45,9 +45,11 @@ def kt():
 
 
 def _iota(sf, alpha):
-    """iota_X omega by the literal formula, checked against exterior.contract."""
+    """iota_X omega by the literal formula, checked against the a-part of
+    D(omega) in the S2-base model twisted by the column alpha."""
     literal = contraction_literal(sf.omega, alpha)
-    assert contract(sf.omega, dict(enumerate(F(a) for a in alpha))) == literal
+    tm = TwistedModel(sphere_base(), sf.model, [[a] for a in alpha])
+    assert hamiltonian_obstruction(tm, sf).per_generator["a"] == literal
     return literal
 
 
