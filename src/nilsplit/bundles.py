@@ -21,13 +21,14 @@ theta_j(omega). The obstruction computes D(omega) in the total model and
 reads each theta_j(omega) off it as its a_j-part. D^2 = 0 is never
 assumed for a nonzero twist: csplit_compare checks it on every generator
 before it computes any cohomology and rejects incompatible alpha with a
-witness (build_twisted does the same for library callers). At alpha = 0
-the model is base tensor a checked CE model and needs no check. The
-forcing solver assembles theta_j(d x_k) = 0 and theta_j(omega) = 0, the
-admissibility and Hamiltonian conditions for a closed omega, for all
-alpha at once from exterior.contraction_columns, and decides whether they
-force alpha = 0. When they do, the only admissible model is the product
-one, and total cohomology splits as base tensor fiber.
+witness; library callers may ask tm.total.flatness_witness() themselves.
+At alpha = 0 the model is base tensor a checked CE model and needs no
+check. The forcing solver assembles theta_j(d x_k) = 0 and
+theta_j(omega) = 0, the admissibility and Hamiltonian conditions for a
+closed omega, for all alpha at once from exterior.contraction_columns,
+and decides whether they force alpha = 0. When they do, the only
+admissible model is the product one, and total cohomology splits as base
+tensor fiber.
 
 Total Betti numbers come from one of two paths:
 - alpha = 0, any base: the total DGA is base tensor fiber, so its Betti
@@ -62,13 +63,13 @@ from .symplectic import SymplecticForm
 ZERO = 0
 
 
-class BaseModel(namedtuple("BaseModel", "kind dga twist_gen_names")):
+class BaseModel(namedtuple("BaseModel", "dga twist_gen_names")):
     """A base DGA together with its degree-2 twist generators.
 
-    kind "s2": the two-generator model of the sphere, deg a = 2, deg b = 3,
+    sphere_base() is the two-generator model of S2, deg a = 2, deg b = 3,
     da = 0, db = a^2 (a^2 bounds, so H^4 = 0 and H^2 is spanned by [a]).
-    kind "formal": a free polynomial algebra on m degree-2 cocycles.
-    twist_gen_names is the tuple of the names of the a_j.
+    formal_even_base(m) is a free polynomial algebra on m degree-2
+    cocycles. twist_gen_names is the tuple of the names of the a_j.
     """
 
     __slots__ = ()
@@ -84,7 +85,7 @@ def sphere_base() -> BaseModel:
         algebra,
         {"a": algebra.zero(), "b": algebra.gen("a") * algebra.gen("a")},
     )
-    return BaseModel(kind="s2", dga=FreeDGA(algebra, d), twist_gen_names=("a",))
+    return BaseModel(dga=FreeDGA(algebra, d), twist_gen_names=("a",))
 
 
 def formal_even_base(m: int) -> BaseModel:
@@ -93,7 +94,7 @@ def formal_even_base(m: int) -> BaseModel:
     names = tuple(f"a{j}" for j in range(1, m + 1))
     algebra = GradedAlgebra([(name, 2) for name in names])
     d = Derivation(algebra, {name: algebra.zero() for name in names})
-    return BaseModel(kind="formal", dga=FreeDGA(algebra, d), twist_gen_names=names)
+    return BaseModel(dga=FreeDGA(algebra, d), twist_gen_names=names)
 
 
 def normalize_alpha(alpha, n_fiber: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -131,9 +132,9 @@ class TwistedModel:
 
     The total algebra lists the base generators, then the fiber ones, so
     base and fiber elements enter it by relabelling generator indices.
-    The constructor only builds the model and makes no D^2 = 0 promise;
-    csplit_compare() checks it for a nonzero twist, and build_twisted() is
-    the constructor that checks it up front.
+    The constructor only builds the model and makes no D^2 = 0 promise:
+    csplit_compare() checks it for a nonzero twist, and
+    self.total.flatness_witness() names a generator with D^2 != 0.
     """
 
     def __init__(self, base: BaseModel, fiber: CEModel, alpha):
@@ -171,19 +172,6 @@ class TwistedModel:
 
     def alpha_is_zero(self) -> bool:
         return all(not c for row in self.alpha for c in row)
-
-
-def _require_flat(tm: TwistedModel) -> None:
-    witness = tm.total.flatness_witness()
-    if witness is not None:
-        raise TwistIncompatibleError(*witness)
-
-
-def build_twisted(fiber: CEModel, base: BaseModel, alpha) -> TwistedModel:
-    """Construct the twisted model, verifying D^2 = 0 on every generator."""
-    tm = TwistedModel(base, fiber, alpha)
-    _require_flat(tm)
-    return tm
 
 
 class ObstructionReport(namedtuple("ObstructionReport", "full per_generator hamiltonian")):
@@ -386,8 +374,9 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
     analyzer is its model's shared one (CEModel.cohomology).
     """
     alpha_zero = tm.alpha_is_zero()
-    if not alpha_zero:
-        _require_flat(tm)
+    witness = None if alpha_zero else tm.total.flatness_witness()
+    if witness is not None:
+        raise TwistIncompatibleError(*witness)
     if cap is None:
         cap = tm.fiber.n + 2
     base = Cohomology(tm.base.dga).betti_vector(cap)
@@ -403,40 +392,3 @@ def csplit_compare(tm: TwistedModel, cap: int | None = None) -> CsplitVerdict:
         expected=tuple(expected),
         alpha_zero=alpha_zero,
     )
-
-
-def pullback_column(tm: TwistedModel, i: int) -> TwistedModel:
-    """The S2-base model carrying column i of alpha (1-based).
-
-    Model-level pullback along the i-th sphere mapping into the base: the
-    base generators go to delta_ij a, fiber generators map identically.
-    """
-    if tm.base.kind != "formal":
-        raise StructuralError("pullback_column expects a formal multi-generator base")
-    if not 1 <= i <= tm.base.m:
-        raise IndexError(f"column {i} out of range 1..{tm.base.m}")
-    column = [[row[i - 1]] for row in tm.alpha]
-    return build_twisted(tm.fiber, sphere_base(), column)
-
-
-def _pullback_index(tm: TwistedModel, sub: TwistedModel, i: int) -> list:
-    """Index map of the pullback to sub = pullback_column(tm, i).
-
-    a_i goes to a (index 0 of sub), every other a_j to 0, and each fiber
-    generator to itself.
-    """
-    index_map = [0 if j == i else None for j in range(1, tm.base.m + 1)]
-    return index_map + list(sub._fiber_index)
-
-
-def pullback_commutes(tm: TwistedModel, i: int) -> bool:
-    """Check f*(D~ g) == D(f* g) on every generator, symbolically."""
-    sub = pullback_column(tm, i)
-    index_map = _pullback_index(tm, sub, i)
-    target = sub.total.algebra
-    for g in tm.total.algebra.generators:
-        lhs = _relabel(tm.total.d.image_of_generator(g.name), target, index_map)
-        rhs = sub.total.d(_relabel(tm.total.algebra.gen(g.name), target, index_map))
-        if lhs != rhs:
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Twisted models: construction, obstruction, forcing, c-splitting, pullback."""
+"""Twisted models: construction, obstruction, forcing, c-splitting."""
 
 import random
 from fractions import Fraction
@@ -12,28 +12,24 @@ from oracles import (
     monomials_naive,
     rank_naive,
     skew_matrix,
-    substitute,
 )
 
 from nilsplit.bundles import (
+    BaseModel,
     TwistedModel,
-    _pullback_index,
-    _relabel,
-    build_twisted,
     csplit_compare,
     flat_alpha_space,
     forcing_check,
     formal_even_base,
     hamiltonian_obstruction,
     kunneth_convolution,
-    pullback_column,
-    pullback_commutes,
     sphere_base,
 )
 from nilsplit.cohomology import Cohomology
 from nilsplit.errors import StructuralError, TwistIncompatibleError
+from nilsplit.exterior import Derivation, FreeDGA, GradedAlgebra
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model
-from nilsplit.symplectic import SymplecticForm
+from nilsplit.symplectic import SymplecticForm, hard_lefschetz
 
 F = Fraction
 
@@ -70,8 +66,8 @@ def test_sphere_base_shape():
 
 
 def test_zero_alpha_always_builds(kt):
-    tm = build_twisted(kt, sphere_base(), [[0]] * 4)
-    assert tm.alpha_is_zero()
+    tm = TwistedModel(sphere_base(), kt, [[0]] * 4)
+    assert tm.alpha_is_zero() and tm.total.flatness_witness() is None
     # D is d on every fiber generator, and D(b) = a^2 on the base
     for name in kt.generator_names():
         want = tm.include_fiber(kt.d.image_of_generator(name))
@@ -81,23 +77,25 @@ def test_zero_alpha_always_builds(kt):
 
 
 def test_torus_fiber_accepts_any_alpha(t2):
-    build_twisted(t2, sphere_base(), [[F(5)], [F(-7, 3)]])
+    tm = TwistedModel(sphere_base(), t2, [[F(5)], [F(-7, 3)]])
+    assert tm.total.flatness_witness() is None
 
 
 def test_kt_alpha_on_x3_is_flat(kt):
     # D^2 x3 = -a (alpha_1 x2 - alpha_2 x1) vanishes when alpha_1=alpha_2=0
-    build_twisted(kt, sphere_base(), [[0], [0], [1], [0]])
+    tm = TwistedModel(sphere_base(), kt, [[0], [0], [1], [0]])
+    assert tm.total.flatness_witness() is None
 
 
 def test_kt_alpha_on_x1_is_rejected_with_witness(kt):
     with pytest.raises(TwistIncompatibleError) as err:
-        build_twisted(kt, sphere_base(), [[1], [0], [0], [0]])
+        csplit_compare(TwistedModel(sphere_base(), kt, [[1], [0], [0], [0]]))
     assert err.value.generator_name == "x3"
     assert str(err.value.witness) == "-a*x2"
 
 
 def test_structure_conditions_on_twisted_model(kt):
-    tm = build_twisted(kt, sphere_base(), [[0], [0], [1], [0]])
+    tm = TwistedModel(sphere_base(), kt, [[0], [0], [1], [0]])
     # D restricted to base generators is the base differential
     a = tm.total.algebra.gen("a")
     assert tm.total.d.image_of_generator("b") == a * a
@@ -108,14 +106,14 @@ def test_structure_conditions_on_twisted_model(kt):
 
 
 def test_obstruction_zero_alpha(kt, kt_form):
-    tm = build_twisted(kt, sphere_base(), [[0]] * 4)
+    tm = TwistedModel(sphere_base(), kt, [[0]] * 4)
     ob = hamiltonian_obstruction(tm, kt_form)
     assert ob.hamiltonian and ob.full.is_zero()
     assert all(el.is_zero() for el in ob.per_generator.values())
 
 
 def test_obstruction_t2_nontrivial_twist(t2, t2_form):
-    tm = build_twisted(t2, sphere_base(), [[1], [0]])
+    tm = TwistedModel(sphere_base(), t2, [[1], [0]])
     ob = hamiltonian_obstruction(tm, t2_form)
     a = tm.total.algebra.gen("a")
     x2 = tm.total.algebra.gen("x2")
@@ -150,7 +148,7 @@ def test_obstruction_coefficient_equals_contraction(catalog_models, symplectic_f
                 assert tuple(ob.per_generator) == base.twist_gen_names
                 for name, column in zip(base.twist_gen_names, columns):
                     want = contraction_literal(sf.omega, column)
-                    assert ob.per_generator[name] == want, (fiber_name, base.kind, column)
+                    assert ob.per_generator[name] == want, (fiber_name, base.m, column)
                 runs += 1
                 flat += tm.total.flatness_witness() is None
     assert flat < runs / 2, (flat, runs)
@@ -171,7 +169,7 @@ def test_forcing_refuses_non_closed_form(kt):
     with pytest.raises(StructuralError, match=r"d\(omega\) = -x1\*x2\*x4"):
         forcing_check(kt, not_closed, sphere_base())
     # the obstruction still takes it: D(omega) = d(omega) at alpha = 0
-    tm = build_twisted(kt, sphere_base(), [[0]] * 4)
+    tm = TwistedModel(sphere_base(), kt, [[0]] * 4)
     ob = hamiltonian_obstruction(tm, not_closed)
     assert ob.full == tm.include_fiber(d_omega) and not ob.hamiltonian
 
@@ -185,7 +183,8 @@ def test_forcing_degenerate_form_leaves_twists(catalog_models):
     assert report.witnesses_verified
     # every basis alpha really is a Hamiltonian twist: D(omega) = 0 directly
     for alpha in report.basis_alphas:
-        tm = build_twisted(t4, sphere_base(), alpha)
+        tm = TwistedModel(sphere_base(), t4, alpha)
+        assert tm.total.flatness_witness() is None
         assert tm.total.d(tm.include_fiber(degenerate.omega)).is_zero()
         assert any(any(row) for row in alpha)
 
@@ -266,30 +265,30 @@ def test_forcing_matches_grid_enumeration(t2, t2_form, kt, kt_form):
 
 def test_total_betti_product_is_kunneth(t2, kt):
     # at alpha = 0 the total is the convolution; the total model is the check
-    tm = build_twisted(t2, sphere_base(), [[0], [0]])
+    tm = TwistedModel(sphere_base(), t2, [[0], [0]])
     assert betti_vector_naive(tm.total, 4) == [1, 2, 2, 2, 1]
     assert csplit_compare(tm).total == (1, 2, 2, 2, 1)
-    tmk = build_twisted(kt, sphere_base(), [[0]] * 4)
+    tmk = TwistedModel(sphere_base(), kt, [[0]] * 4)
     assert betti_vector_naive(tmk.total, 6) == [1, 3, 5, 6, 5, 3, 1]
     assert csplit_compare(tmk).total == (1, 3, 5, 6, 5, 3, 1)
 
 
 def test_total_betti_twisted_t2_is_s3_x_s1(t2):
-    tm = build_twisted(t2, sphere_base(), [[1], [0]])
+    tm = TwistedModel(sphere_base(), t2, [[1], [0]])
     got = list(csplit_compare(tm).total)
     assert got == [1, 1, 0, 1, 1]
     assert got == betti_vector_naive(tm.total, 4)
 
 
 def test_total_betti_matches_naive_oracle_on_twisted_models(kt):
-    tm = build_twisted(kt, sphere_base(), [[0], [0], [1], [0]])
+    tm = TwistedModel(sphere_base(), kt, [[0], [0], [1], [0]])
     cap = 6
     assert list(csplit_compare(tm, cap).total) == betti_vector_naive(tm.total, cap)
 
 
 def test_euler_characteristic_vanishes_when_top_is_verified_zero(t2, kt):
     for fiber, alpha in ((t2, [[1], [0]]), (kt, [[0], [0], [1], [0]])):
-        tm = build_twisted(fiber, sphere_base(), alpha)
+        tm = TwistedModel(sphere_base(), fiber, alpha)
         cap = fiber.n + 2
         bettis = csplit_compare(tm, cap + 2).total
         assert bettis[cap + 1] == 0 and bettis[cap + 2] == 0
@@ -297,12 +296,12 @@ def test_euler_characteristic_vanishes_when_top_is_verified_zero(t2, kt):
 
 
 def test_csplit_verdicts(t2, kt):
-    product = build_twisted(kt, sphere_base(), [[0]] * 4)
+    product = TwistedModel(sphere_base(), kt, [[0]] * 4)
     good = csplit_compare(product)
     assert good.c_splits and good.alpha_zero
     # good.total is the convolution itself at alpha = 0; the total model is not
     assert tuple(betti_vector_naive(product.total, good.cap)) == good.expected
-    twisted = build_twisted(t2, sphere_base(), [[1], [0]])
+    twisted = TwistedModel(sphere_base(), t2, [[1], [0]])
     bad = csplit_compare(twisted)
     assert not bad.c_splits and not bad.alpha_zero
     assert bad.total == (1, 1, 0, 1, 1)
@@ -311,7 +310,7 @@ def test_csplit_verdicts(t2, kt):
 
 
 def test_incompatible_unchecked_twist_is_refused(kt):
-    """D^2 != 0 raises build_twisted's error instead of negative Betti numbers."""
+    """D^2 != 0 raises csplit_compare's error instead of negative Betti numbers."""
     cases = (
         (sphere_base(), [[1], [0], [0], [0]]),
         (formal_even_base(2), [[0, 1], [0, 0], [0, 0], [1, 0]]),
@@ -320,12 +319,9 @@ def test_incompatible_unchecked_twist_is_refused(kt):
         tm = TwistedModel(base, kt, alpha)
         witness = tm.total.flatness_witness()
         assert witness is not None
-        with pytest.raises(TwistIncompatibleError) as built:
-            build_twisted(kt, base, alpha)
         with pytest.raises(TwistIncompatibleError) as err:
             csplit_compare(tm)
         assert (err.value.generator_name, err.value.witness) == witness
-        assert str(err.value) == str(built.value)
 
 
 def test_kunneth_convolution_plain():
@@ -348,58 +344,14 @@ def test_flat_alpha_space_kt():
     assert len(flats) == 2
     for alpha in flats:
         assert alpha[0][0] == 0 and alpha[1][0] == 0
-        build_twisted(kt_model, base, alpha)
-
-
-def test_pullback_column_extracts_columns(kt):
-    base = formal_even_base(2)
-    flats = flat_alpha_space(kt, base)
-    alpha = flats[0]
-    tm = build_twisted(kt, base, alpha)
-    for i in (1, 2):
-        sub = pullback_column(tm, i)
-        assert sub.base.kind == "s2"
-        assert [row[0] for row in sub.alpha] == [row[i - 1] for row in tm.alpha]
-    with pytest.raises(IndexError):
-        pullback_column(tm, 3)
-    with pytest.raises(StructuralError):
-        pullback_column(build_twisted(kt, sphere_base(), [[0]] * 4), 1)
-
-
-def test_pullback_zero_matrix_gives_product_model(kt):
-    base = formal_even_base(2)
-    tm = build_twisted(kt, base, [[0, 0]] * 4)
-    sub = pullback_column(tm, 1)
-    assert sub.alpha_is_zero()
-    assert csplit_compare(sub).alpha_zero
-
-
-def test_pullback_commutation_identity_random_valid_alphas(kt):
-    rng = random.Random(87)
-    for m in (2, 3):
-        base = formal_even_base(m)
-        flats = flat_alpha_space(kt, base)
-        assert flats
-        for _ in range(10):
-            weights = [F(rng.randint(-2, 2)) for _ in flats]
-            alpha = [
-                [
-                    sum(w * basis[k][j] for w, basis in zip(weights, flats))
-                    for j in range(m)
-                ]
-                for k in range(4)
-            ]
-            tm = build_twisted(kt, base, alpha)
-            for i in range(1, m + 1):
-                assert pullback_commutes(tm, i)
+        assert TwistedModel(base, kt_model, alpha).total.flatness_witness() is None
 
 
 def test_relabelling_matches_literal_substitution(catalog_models):
-    """Inclusion and pullback by relabelling equal products of generator images.
+    """Inclusion by relabelling equals the product of generator images.
 
     Every monomial of each catalog fiber goes into the total algebra over
-    s2, formal:2 and formal:3; every monomial of those formal total
-    algebras through degree 6 goes through each pullback.
+    s2, formal:2 and formal:3.
     """
     checked = 0
     for fiber in catalog_models.values():
@@ -411,26 +363,90 @@ def test_relabelling_matches_literal_substitution(catalog_models):
                     u = fiber.algebra.element({key: 1})
                     assert tm.include_fiber(u) == include_by_name(u, target), key
                     checked += 1
-            if base.kind == "s2":
-                continue
-            for i in range(1, base.m + 1):
-                sub = pullback_column(tm, i)
-                sub_alg = sub.total.algebra
-                images = {g.name: sub_alg.gen(g.name) for g in fiber.algebra.generators}
-                for j, name in enumerate(base.twist_gen_names, start=1):
-                    images[name] = sub_alg.gen("a") if j == i else sub_alg.zero()
-                index_map = _pullback_index(tm, sub, i)
-                for k in range(7):
-                    for key in monomials_naive(target, k):
-                        u = target.element({key: 1})
-                        got = _relabel(u, sub_alg, index_map)
-                        assert got == substitute(u, images), (i, key)
-                        checked += 1
-    assert checked > 5000
+    assert checked == 900
 
 
 def test_alpha_shape_validation(kt):
     with pytest.raises(StructuralError):
-        build_twisted(kt, sphere_base(), [[0], [0]])  # wrong row count
+        TwistedModel(sphere_base(), kt, [[0], [0]])  # wrong row count
     with pytest.raises(StructuralError):
-        build_twisted(kt, formal_even_base(2), [[0]] * 4)  # wrong column count
+        TwistedModel(formal_even_base(2), kt, [[0]] * 4)  # wrong column count
+
+
+def _base_named_x1():
+    """A one-generator formal base whose generator clashes with a fiber's."""
+    algebra = GradedAlgebra([("x1", 2)])
+    dga = FreeDGA(algebra, Derivation(algebra, {"x1": algebra.zero()}))
+    return BaseModel(dga=dga, twist_gen_names=("x1",))
+
+
+def _heisenberg3_form():
+    h3 = ce_model(LieAlgebraSpec(dim=3, brackets=((1, 2, 3, F(1)),)))
+    return h3, SymplecticForm.from_coeffs(h3, [(1, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        (
+            "coefficient indices (1,5) out of range",
+            lambda kt, t2, t2_form: SymplecticForm.from_coeffs(kt, [(1, 5, 1)]),
+        ),
+        (
+            "duplicate coefficient for (1,2)",
+            lambda kt, t2, t2_form: SymplecticForm.from_coeffs(kt, [(1, 2, 1), (1, 2, 2)]),
+        ),
+        (
+            "omega lives over a different algebra",
+            lambda kt, t2, t2_form: SymplecticForm.from_element(kt, t2_form.omega),
+        ),
+        (
+            "symplectic form lives on a different fiber",
+            lambda kt, t2, t2_form: hamiltonian_obstruction(
+                TwistedModel(sphere_base(), kt, [[0]] * 4), t2_form
+            ),
+        ),
+        (
+            "symplectic form lives on a different fiber",
+            lambda kt, t2, t2_form: forcing_check(kt, t2_form, sphere_base()),
+        ),
+        (
+            "generator name collision: ['x1']",
+            lambda kt, t2, t2_form: TwistedModel(_base_named_x1(), t2, [[0], [0]]),
+        ),
+        (
+            "element lives outside the fiber algebra",
+            lambda kt, t2, t2_form: TwistedModel(sphere_base(), kt, [[0]] * 4).include_fiber(
+                t2_form.omega
+            ),
+        ),
+        (
+            "formal base needs at least one generator",
+            lambda kt, t2, t2_form: formal_even_base(0),
+        ),
+        (
+            "form and model live over different generator sets",
+            lambda kt, t2, t2_form: hard_lefschetz(kt, t2_form),
+        ),
+        (
+            "hard Lefschetz needs an even-dimensional model",
+            lambda kt, t2, t2_form: hard_lefschetz(*_heisenberg3_form()),
+        ),
+    ],
+    ids=[
+        "from_coeffs-range",
+        "from_coeffs-duplicate",
+        "from_element-foreign",
+        "obstruction-foreign-form",
+        "forcing-foreign-form",
+        "twisted-name-collision",
+        "include_fiber-foreign",
+        "formal-base-zero",
+        "lefschetz-foreign-form",
+        "lefschetz-odd-dimension",
+    ],
+)
+def test_library_refuses_mismatched_inputs(kt, t2, t2_form, message, call):
+    with pytest.raises(StructuralError) as err:
+        call(kt, t2, t2_form)
+    assert str(err.value) == message

@@ -11,7 +11,7 @@ import pytest
 from oracles import betti_vector_naive, d_of_monomial_naive
 
 from nilsplit import catalog
-from nilsplit.bundles import build_twisted, flat_alpha_space, formal_even_base, sphere_base
+from nilsplit.bundles import TwistedModel, flat_alpha_space, formal_even_base, sphere_base
 from nilsplit.cli import main
 from nilsplit.cohomology import Cohomology, DegreeSlice
 from nilsplit.errors import StructuralError
@@ -204,13 +204,14 @@ def test_hard_lefschetz_refuses_without_duality():
 
 def test_bundle_models_are_never_mirrored(kt):
     """Base and total models have even generators: every degree is eliminated."""
-    twists = {"s2": flat_alpha_space(kt, sphere_base())[0], "formal": [[0, 0]] * 4}
+    twists = {1: flat_alpha_space(kt, sphere_base())[0], 2: [[0, 0]] * 4}
     for base in (sphere_base(), formal_even_base(2)):
         assert Cohomology(base.dga).duality is None
-        tm = build_twisted(kt, base, twists[base.kind])
+        tm = TwistedModel(base, kt, twists[base.m])
+        assert tm.total.flatness_witness() is None
         coh = Cohomology(tm.total)
         assert coh.duality is None
-        assert coh.betti_vector(6) == betti_vector_naive(tm.total, 6), base.kind
+        assert coh.betti_vector(6) == betti_vector_naive(tm.total, 6), base.m
 
 
 def _filiform(n: int) -> LieAlgebraSpec:

@@ -144,6 +144,28 @@ def test_parse_rejects_bad_documents(mutation):
         parse_document(json.dumps(obj))
 
 
+def _good_with(**fields):
+    obj = json.loads(GOOD)
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text, pattern",
+    [
+        ("[]", r"^top level must be a JSON object$"),
+        ("{", r"^not valid JSON: "),
+        (_good_with(name=3), r"^name: expected a string$"),
+        (_good_with(dim=0), r"^dim: must be positive, got 0$"),
+        (_good_with(brackets={}), r"^brackets: expected a list$"),
+        (_good_with(brackets=[[1, 2, 3, "1"]]), r"^brackets\[0\]: expected an object$"),
+    ],
+)
+def test_parse_names_what_is_wrong_with_the_text(text, pattern):
+    with pytest.raises(DocumentError, match=pattern):
+        parse_document(text)
+
+
 def test_parse_names_the_duplicate_entry():
     obj = json.loads(GOOD)
     obj["brackets"].append({"i": 1, "j": 2, "k": 3, "c": "2"})
@@ -408,20 +430,17 @@ def test_cli_csplit_zero_alpha_torus2(capsys):
 
 
 def test_cli_csplit_invalid_twist_exit4(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "csplit",
-        "kodaira-thurston",
-        "--alpha",
-        "1,0,0,0",
-        "--format",
-        "machine",
+    cases = (
+        (("--alpha", "1,0,0,0"), "-a*x2"),
+        (("--base", "formal:2", "--alpha=0,1;0,0;0,0;1,0"), "-a2*x2"),
     )
-    assert code == 4
-    data = json.loads(out)
-    assert data["status"] == "invalid-twist"
-    assert data["twist_error"]["generator"] == "x3"
-    assert data["twist_error"]["d_squared"] == "-a*x2"
+    for flags, d_squared in cases:
+        code, out, _ = run_cli(capsys, "csplit", "kodaira-thurston", *flags, "--format", "machine")
+        assert code == 4, flags
+        data = json.loads(out)
+        assert data["status"] == "invalid-twist"
+        assert data["twist_error"] == {"generator": "x3", "d_squared": d_squared}
+        assert "csplit" not in data and "obstruction" not in data
 
 
 def test_cli_csplit_checks_d_squared_once(capsys, monkeypatch):
@@ -547,6 +566,11 @@ def test_cli_catalog_list_and_emit(capsys):
 
     code, _, err = run_cli(capsys, "catalog", "--emit", "nope")
     assert code == 2
+
+    assert run_cli(capsys, "catalog") == (2, "", "error: catalog: pass --list or --emit NAME\n")
+
+    code, out, _ = run_cli(capsys, "catalog", "--list", "--format", "machine")
+    assert code == 0 and json.loads(out) == {"catalog": catalog.names()}
 
 
 def test_cli_emitted_document_reingests_identically(tmp_path, capsys):
@@ -720,6 +744,13 @@ def test_cli_bad_base_or_alpha_specs(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "csplit", "torus2", "--alpha", "x,y")
     assert code == 2
+    refusals = [
+        (("kodaira-thurston", "--base", "formal:0"), "formal base needs at least one generator"),
+        (("torus2", "--base", "formal:2", "--alpha", "1,0"), "alpha needs 2 rows of 2 entries, got 1"),
+        (("torus2", "--base", "formal:2", "--alpha", "1,0;0"), "alpha row 2 needs 2 entries"),
+    ]
+    for argv, message in refusals:
+        assert run_cli(capsys, "csplit", *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_cli_alpha_with_leading_minus_parses_as_value(capsys):

@@ -27,8 +27,8 @@ from oracles import (
 )
 
 from nilsplit.bundles import (
+    TwistedModel,
     _minimal_model,
-    build_twisted,
     csplit_compare,
     flat_alpha_space,
     forcing_check,
@@ -542,7 +542,7 @@ def test_forcing_matches_unit_alpha_oracle(catalog_models, symplectic_forms, cor
             for sf in forms:
                 report = forcing_check(model, sf, base)
                 oracle = alphas_by_unit_alpha(model, base, sf.omega)
-                assert list(report.basis_alphas) == oracle, (model.algebra, base.kind, sf)
+                assert list(report.basis_alphas) == oracle, (model.algebra, base.m, sf)
                 assert report.witnesses_verified
                 positive += bool(oracle)
     assert positive >= 100  # the comparison is not only between empty kernels
@@ -612,7 +612,9 @@ def _twisted_models(fibers, base_name, corpus):
         models = [ce_model(H3_R7)]
     base = sphere_base() if base_name == "s2" else formal_even_base(int(base_name[-1]))
     rng = random.Random(1949)
-    return [build_twisted(m, base, _random_admissible_twist(rng, m, base)) for m in models]
+    tms = [TwistedModel(base, m, _random_admissible_twist(rng, m, base)) for m in models]
+    assert all(tm.total.flatness_witness() is None for tm in tms)
+    return tms
 
 
 # (fibers, base, highest cap): the dense oracle's cost grows fast with the
@@ -732,7 +734,7 @@ def test_invariants_at_dims_9_and_10():
                 want = lefschetz_ranks_naive(model.dga, res.form.omega, h)
                 assert [e.rank for e in table] == want, model.spec
         alpha = _random_admissible_twist(rng, model, sphere_base())
-        verdict = csplit_compare(build_twisted(model, sphere_base(), alpha), n + 2)
+        verdict = csplit_compare(TwistedModel(sphere_base(), model, alpha), n + 2)
         total = list(verdict.total)
         assert total == total[::-1], (model.spec, alpha)
         assert sum((-1) ** k * b for k, b in enumerate(total)) == 0, (model.spec, alpha)

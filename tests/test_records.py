@@ -7,7 +7,7 @@ import pytest
 
 from nilsplit import catalog
 from nilsplit.bundles import (
-    build_twisted,
+    TwistedModel,
     csplit_compare,
     forcing_check,
     hamiltonian_obstruction,
@@ -31,7 +31,7 @@ def _records():
     fiber = ce_model(spec)
     sf = SymplecticForm.from_coeffs(fiber, doc.omega_coeffs())
     base = sphere_base()
-    tm = build_twisted(fiber, base, [[0]] * 4)
+    tm = TwistedModel(base, fiber, [[0]] * 4)
     return [
         doc,
         spec,
