@@ -217,20 +217,26 @@ def _parse_base(text: str) -> bundles.BaseModel:
     raise DocumentError(f"bad base spec {text!r}; expected 's2' or 'formal:M'")
 
 
+def _count(k: int, one: str, many: str) -> str:
+    return f"{k} {one if k == 1 else many}"
+
+
 def _parse_alpha(text: str, n: int, m: int):
     rows = text.split(";")
+    entries = _count(m, "entry", "entries")
     if len(rows) == 1 and m == 1:
         flat = [p.strip() for p in rows[0].split(",")]
         if len(flat) != n:
-            raise DocumentError(f"alpha needs {n} entries, got {len(flat)}")
+            raise DocumentError(f"alpha needs {_count(n, 'entry', 'entries')}, got {len(flat)}")
         return [[parse_rational(p, "alpha")] for p in flat]
     if len(rows) != n:
-        raise DocumentError(f"alpha needs {n} rows of {m} entries, got {len(rows)}")
+        rows_of = f"{_count(n, 'row', 'rows')} of {entries}"
+        raise DocumentError(f"alpha needs {rows_of}, got {len(rows)}")
     out = []
     for r, row in enumerate(rows):
         parts = [p.strip() for p in row.split(",")]
         if len(parts) != m:
-            raise DocumentError(f"alpha row {r + 1} needs {m} entries")
+            raise DocumentError(f"alpha row {r + 1} needs {entries}")
         out.append([parse_rational(p, f"alpha[{r + 1}]") for p in parts])
     return out
 

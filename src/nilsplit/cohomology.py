@@ -5,8 +5,10 @@ is finite dimensional even when the algebra is not (polynomial generators
 contribute boundedly many exponents per degree). A DegreeSlice fixes the
 sorted monomial basis in degree k and the sparse images of d on it. One
 exact echelon of those images, fed in basis order, gives the rank of d on
-C^k and a cocycle basis of Z^k. It depends only on the basis order, so
-repeated runs give identical bases. No class representatives are picked:
+C^k, and a Betti number needs nothing more. Only a reader of cocycles has
+the dependent images rewritten into a cocycle basis of Z^k (linalg.kernel).
+That basis depends only on the basis order, so repeated runs give
+identical bases. No class representatives are picked:
 under Poincare duality a coboundary pairs to zero with every cocycle, so
 hard Lefschetz, the one reader of classes, pairs cocycles.
 
@@ -59,7 +61,12 @@ class Cohomology:
     """Per-degree cohomology analyzer with cached ranks and cocycle bases.
 
     Each differential d: C^k -> C^{k+1} is eliminated once; its rank serves
-    both b_k and b_{k+1}. Every method takes an explicit degree and builds
+    both b_k and b_{k+1}. `rank` and `betti` eliminate it rank-only,
+    adding the images to one Echelon and building no combination;
+    `cocycles` eliminates it through linalg.kernel, and that record serves
+    `rank` too. A reader of both the cocycles and the rank of one degree
+    reads the cocycles first, as hard Lefschetz does, or that degree is
+    eliminated twice. Every method takes an explicit degree and builds
     only the slices it reads, so one analyzer serves every reader of a DGA
     (see CEModel.cohomology), polynomial-type algebras included.
 
@@ -73,29 +80,27 @@ class Cohomology:
     slices up to degree (n-1)/2 only. Without it every degree is
     eliminated directly, as for bundle models, whose base generators are
     even. `cocycles` always eliminates its own degree. Each eliminated
-    degree keeps one record, (dim C^k, rank of d on C^k, Z^k); its slice
-    is dropped.
+    degree keeps one record, (dim C^k, rank of d on C^k, Z^k or None for a
+    rank-only one); its slice is dropped.
     """
 
     def __init__(self, dga: FreeDGA):
         self.dga = dga
-        # k -> (dim C^k, rank of d on C^k, cocycle basis of Z^k as term maps)
-        self._cycles: dict[int, tuple[int, int, list[dict]]] = {}
+        # k -> (dim C^k, rank of d on C^k, cocycle basis of Z^k as term maps,
+        #       or None when only the rank was asked for)
+        self._records: dict[int, tuple[int, int, list[dict] | None]] = {}
         self.duality = _duality(dga)
 
-    def _differential(self, k: int) -> tuple[int, int, list[dict]]:
-        """dim C^k, the rank of d on C^k and the cocycle basis of Z^k.
-
-        A monomial whose image lies in the span of the images before it
-        gives one cocycle: the monomial minus its combination of earlier
-        monomials, in the reduced echelon normal form.
-        """
-        if k not in self._cycles:
+    def _record(self, k: int) -> tuple[int, int, list[dict] | None]:
+        """The record of degree k, eliminated rank-only unless cached: the
+        images of d are fed to one Echelon, and no combination is built."""
+        if k not in self._records:
             s = DegreeSlice(self.dga, k)
-            kernel = linalg.kernel(s.images)
-            cocycles = [{s.basis[i]: x for i, x in v.items()} for v in kernel]
-            self._cycles[k] = (s.dim, s.dim - len(kernel), cocycles)
-        return self._cycles[k]
+            echelon = linalg.Echelon()
+            for image in s.images:
+                echelon.add(image)
+            self._records[k] = (s.dim, echelon.rank, None)
+        return self._records[k]
 
     def rank(self, k: int) -> int:
         """Rank of d on C^k: 0 below degree 0, and from degree n on under
@@ -105,11 +110,11 @@ class Cohomology:
         n = self.duality
         if k < 0 or (n is not None and k >= n):
             return 0
-        if n is not None and k not in self._cycles:
+        if n is not None and k not in self._records:
             mirror = n - 1 - k
-            if mirror < k or mirror in self._cycles:
+            if mirror < k or mirror in self._records:
                 k = mirror
-        return self._differential(k)[1]
+        return self._record(k)[1]
 
     def betti(self, k: int) -> int:
         """dim C^k - rank d_k - rank d_{k-1}, by exact ranks; under duality
@@ -117,16 +122,25 @@ class Cohomology:
         if k < 0:
             return 0
         n = self.duality
-        dim = comb(n, k) if n is not None else self._differential(k)[0]
+        dim = comb(n, k) if n is not None else self._record(k)[0]
         return dim - self.rank(k) - self.rank(k - 1)
 
     def betti_vector(self, cap: int) -> list[int]:
         return [self.betti(k) for k in range(cap + 1)]
 
     def cocycles(self, k: int) -> list[Element]:
-        """Basis of the degree-k cocycles Z^k, deterministic via echelon order."""
+        """Basis of the degree-k cocycles Z^k, in the reduced echelon
+        normal form: a monomial whose image lies in the span of the images
+        before it gives one cocycle, the monomial minus its combination of
+        earlier monomials (linalg.kernel). Deterministic via basis order."""
+        record = self._records.get(k)
+        if record is None or record[2] is None:
+            s = DegreeSlice(self.dga, k)
+            kernel = linalg.kernel(s.images)
+            cocycles = [{s.basis[i]: x for i, x in v.items()} for v in kernel]
+            record = self._records[k] = (s.dim, s.dim - len(kernel), cocycles)
         alg = self.dga.algebra
-        return [Element(alg, z) for z in self._differential(k)[2]]
+        return [Element(alg, z) for z in record[2]]
 
     def euler_characteristic(self, cap: int) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti_vector(cap)))

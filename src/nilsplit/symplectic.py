@@ -458,8 +458,8 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
     <omega^k dy, z> = 0. The matrix <omega^k z_i, z_j> over a cocycle basis
     z of Z^{h-k} (see _pairing_rank) thus has the rank of the pairing on
     classes, which is the rank of [omega]^k, and no class representative
-    is picked. Only Z^p for p < h is read. k = 0 is the identity on H^h,
-    of rank b_h.
+    is picked. Only Z^p for p < h is read, each before any rank of its
+    degree. k = 0 is the identity on H^h, of rank b_h.
 
     Everything is on bit-set monomials, with the one product step _times:
     omega is scaled to integer coefficients (the rank of a matrix times a
@@ -478,16 +478,17 @@ def hard_lefschetz(model: CEModel, sf: SymplecticForm) -> list[LefschetzEntry]:
         raise StructuralError("hard Lefschetz needs Poincare duality: d != 0 on C^(n-1)")
     form = _bit_form(sf.omega)
     power = {0: 1}
-    entries = []
-    for k in range(half + 1):
-        p, q = half - k, half + k
-        bp = coh.betti(p)
-        if k:
-            cocycles = [_bits(z) for z in coh.cocycles(p)]
-            power = _times(form, power)
-            factor = _factor(power)
-            rk = _pairing_rank((_times(factor, z) for z in cocycles), cocycles, n)
-        else:
-            rk = bp
-        entries.append(LefschetzEntry(k, p, q, bp, bp, rk, bp == rk))
-    return entries
+    ranks = []
+    for k in range(1, half + 1):
+        cocycles = [_bits(z) for z in coh.cocycles(half - k)]
+        power = _times(form, power)
+        factor = _factor(power)
+        ranks.append(_pairing_rank((_times(factor, z) for z in cocycles), cocycles, n))
+    # Only now the Betti numbers: the cocycle records of Z^p, p < h, read
+    # above one at a time, serve every rank they need, so no degree is
+    # eliminated twice (a rank-only record first would be redone for Z^p).
+    bettis = [coh.betti(half - k) for k in range(half + 1)]
+    return [
+        LefschetzEntry(k, half - k, half + k, b, b, rk, b == rk)
+        for k, (b, rk) in enumerate(zip(bettis, [bettis[0], *ranks]))
+    ]

@@ -232,7 +232,7 @@ def test_betti_table_builds_only_the_lower_half():
         coh = ce_model(spec).cohomology
         betti = coh.betti_vector(n)
         assert betti == betti[::-1], spec
-        assert sorted(coh._cycles) == list(range((n - 1) // 2 + 1)), spec
+        assert sorted(coh._records) == list(range((n - 1) // 2 + 1)), spec
 
 
 def test_symplectic_job_eliminates_no_degree_above_the_middle():
@@ -247,7 +247,7 @@ def test_symplectic_job_eliminates_no_degree_above_the_middle():
         entries = hard_lefschetz(model, res.form)
         half = model.n // 2
         coh = model.cohomology
-        assert max(coh._cycles) <= max(2, half - 1), spec
+        assert max(coh._records) <= max(2, half - 1), spec
         assert [e.target_betti for e in entries] == [coh.betti(half + e.k) for e in entries]
         decided += 1
     assert decided >= 7

@@ -702,6 +702,71 @@ def test_cli_builds_each_fiber_slice_once_per_job(tmp_path, capsys, monkeypatch)
         assert fiber[4, 2] == 1 and set(fiber.values()) == {1}, (argv, fiber)
 
 
+# dim 8, so n/2 = 4: hard Lefschetz reads Z^3, Z^2, Z^1 and Z^0
+RANK_ONLY_SPECS = {
+    "l8": LieAlgebraSpec(dim=8, brackets=tuple((1, i, i + 1, F(1)) for i in range(2, 8))),
+    "h3-r5": LieAlgebraSpec(dim=8, brackets=((1, 2, 3, F(1)),)),
+}
+
+
+def _write_spec(tmp_path, name, spec):
+    brackets = [{"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in spec.brackets]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "dim": spec.dim, "brackets": brackets}))
+    return str(path)
+
+
+def test_betti_numbers_build_no_cocycle(tmp_path, capsys, monkeypatch):
+    """A cohomology job and the Kunneth expected vector of csplit_compare
+    read ranks only: linalg.kernel, which builds cocycles, is never called."""
+    from nilsplit import bundles, linalg
+
+    calls = []
+    real = linalg.kernel
+
+    def spy(columns):
+        calls.append(len(columns))
+        return real(columns)
+
+    monkeypatch.setattr(linalg, "kernel", spy)
+    for name, spec in RANK_ONLY_SPECS.items():
+        code, out, _ = run_cli(
+            capsys, "cohomology", _write_spec(tmp_path, name, spec), "--format", "machine"
+        )
+        assert code == 0 and json.loads(out)["cohomology"]["poincare_duality"] is True
+        assert calls == [], name
+        model = ce_model(spec)
+        for base in (bundles.sphere_base(), bundles.formal_even_base(2)):
+            tm = bundles.TwistedModel(base, model, [[0] * base.m] * model.n)
+            verdict = bundles.csplit_compare(tm)
+            assert verdict.alpha_zero and verdict.c_splits, (name, base.m)
+        assert calls == [], name
+
+
+def test_cli_symplectic_builds_each_slice_once(tmp_path, capsys, monkeypatch):
+    """Hard Lefschetz reads each Z^p, p < n/2, before any rank of degree p,
+    so no degree is eliminated rank-only and then again for its cocycles."""
+    from collections import Counter
+
+    from nilsplit import cohomology
+
+    built = Counter()
+    real = cohomology.DegreeSlice
+
+    def spy(dga, degree):
+        built[len(dga.algebra.generators), degree] += 1
+        return real(dga, degree)
+
+    monkeypatch.setattr(cohomology, "DegreeSlice", spy)
+    for name, spec in RANK_ONLY_SPECS.items():
+        built.clear()
+        code, out, _ = run_cli(
+            capsys, "symplectic", _write_spec(tmp_path, name, spec), "--format", "machine"
+        )
+        assert code == 0 and json.loads(out)["status"] == "symplectic", name
+        assert built == Counter({(8, k): 1 for k in range(4)}), (name, built)
+
+
 def test_cli_cohomology_full_cap_reports_duality(capsys):
     for cap in ("4", "6"):
         code, out, _ = run_cli(
@@ -748,6 +813,8 @@ def test_cli_bad_base_or_alpha_specs(capsys):
         (("kodaira-thurston", "--base", "formal:0"), "formal base needs at least one generator"),
         (("torus2", "--base", "formal:2", "--alpha", "1,0"), "alpha needs 2 rows of 2 entries, got 1"),
         (("torus2", "--base", "formal:2", "--alpha", "1,0;0"), "alpha row 2 needs 2 entries"),
+        (("torus2", "--alpha", "1,0;0"), "alpha row 1 needs 1 entry"),
+        (("torus2", "--alpha", "1;0;0"), "alpha needs 2 rows of 1 entry, got 3"),
     ]
     for argv, message in refusals:
         assert run_cli(capsys, "csplit", *argv) == (2, "", f"error: {message}\n"), argv

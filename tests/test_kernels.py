@@ -172,3 +172,45 @@ def test_non_unit_pivots_give_the_same_exact_kernel_from_ints_and_fractions():
         assert results[0] == results[1]
         fractional += any(type(x) is Fraction for v in results[0][1] for x in v.values())
     assert fractional >= 20, fractional  # the divisions really leave Fractions
+
+
+# Flat tuple indices of unequal lengths over a small alphabet, so that many
+# are proper prefixes of others ((1, 1) and (1, 1, 2, 1)), and entries that
+# make non-unit and Fraction pivots.
+tuple_keyed = st.integers(1, 6).flatmap(
+    lambda nrows: st.tuples(
+        st.lists(
+            st.lists(st.integers(0, 2), max_size=4).map(tuple),
+            min_size=nrows,
+            max_size=nrows,
+            unique=True,
+        ),
+        st.lists(
+            st.lists(
+                st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)]),
+                min_size=nrows,
+                max_size=nrows,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_keyed)
+def test_tuple_indices_of_unequal_lengths_match_the_dense_oracles(case):
+    """Descending pivots order tuple indices exactly in reverse, prefixes
+    included: the rank and the reduced echelon kernel of columns indexed by
+    such tuples are those of the dense matrix."""
+    keys, dense_columns = case
+    rows = [[col[i] for col in dense_columns] for i in range(len(keys))]
+    columns = [{k: x for k, x in zip(keys, col) if x} for col in dense_columns]
+    echelon = linalg.Echelon()
+    for column in columns:
+        echelon.add(column)
+    assert echelon.rank == rank_naive(rows)
+    ncols = len(columns)
+    dense_kernel = [[v.get(j, 0) for j in range(ncols)] for v in linalg.kernel(columns)]
+    assert dense_kernel == nullspace_naive(rows, ncols)
