@@ -3,10 +3,14 @@
 Everything is per-degree: the degree-k component of a free graded algebra
 is finite dimensional even when the algebra is not (polynomial generators
 contribute boundedly many exponents per degree). A DegreeSlice fixes the
-sorted monomial basis in degree k and the sparse images of d on it. One
-exact echelon of those images, fed in basis order, gives the rank of d on
-C^k, and a Betti number needs nothing more. Only a reader of cocycles has
-the dependent images rewritten into a cocycle basis of Z^k (linalg.kernel).
+sorted monomial basis in degree k and streams the sparse images of d on
+it. On a CE model, every generator of degree 1, it forms them on bit sets
+with integer keys ordered like the tuple keys; otherwise it reads the
+derivation's cached term maps (see DegreeSlice). One exact echelon of
+those images, fed in basis order, gives the rank of d on C^k, and a Betti
+number needs nothing more: a rank-only record keeps neither the basis nor
+the images. Only a reader of cocycles has the dependent images rewritten
+into a cocycle basis of Z^k (linalg.kernel), keyed by the tuple basis.
 That basis depends only on the basis order, so repeated runs give
 identical bases. No class representatives are picked:
 under Poincare duality a coboundary pairs to zero with every cocycle, so
@@ -28,6 +32,7 @@ oracle, which eliminates every degree.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from . import linalg
@@ -38,10 +43,23 @@ from .exterior import Element, FreeDGA
 class DegreeSlice:
     """Degree-k basis of a free DGA and the images of d on it.
 
-    `basis` is the sorted list of degree-k monomial keys; `images[j]` is
-    d(basis[j]) as a map from degree-(k+1) monomial keys to nonzero
-    coefficients: the derivation's cached term map itself, shared with
-    its cache and never mutated, so no Element is built per monomial.
+    `basis` is the sorted list of degree-k monomial keys and `dim` its
+    length. `images` yields d(basis[j]) in basis order as maps from
+    degree-(k+1) monomial keys to nonzero coefficients, afresh on each
+    read: a reader streams them and the slice keeps none.
+
+    When every generator has degree 1 (a CE model), C^k is spanned by the
+    k-subsets S of the n generators, and d(x_S) is formed in one pass over
+    the terms c x_a x_b of the images d x_i, i in S. Such a term gives
+    x_R x_a x_b with R = S - {i} and the sign (-1)^#{R < i} of the Leibniz
+    rule times that of moving x_a and x_b into place, (-1)^#{R between a
+    and b}: one popcount on bit sets. No basis is enumerated unless
+    `basis` is read, and the derivation's memo is not filled. An image key
+    is the integer -sum_{j in T} 2^(n-1-j) of its set T, which orders the
+    monomials of one degree exactly as their tuple keys do, so every pivot
+    and every output is the one tuple keys give; `monomial` turns it back
+    into a tuple key. Otherwise the basis is enumerated and the images are
+    the derivation's cached term maps, shared and never mutated.
     """
 
     def __init__(self, dga: FreeDGA, degree: int):
@@ -49,12 +67,61 @@ class DegreeSlice:
             raise StructuralError("degree must be nonnegative")
         self.dga = dga
         self.degree = degree
-        self.basis = dga.algebra.monomials_of_degree(degree)
-        self.images = [dga.d.monomial_terms(key) for key in self.basis]
+        self._n = _exterior(dga.algebra)
+        if self._n is None:
+            self._basis = dga.algebra.monomials_of_degree(degree)
+            self.dim = len(self._basis)
+        else:
+            self.dim = comb(self._n, degree)
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list[tuple]:
+        if self._n is None:
+            return self._basis
+        subsets = combinations(range(self._n), self.degree)
+        return [tuple(x for i in s for x in (i, 1)) for s in subsets]
+
+    @property
+    def images(self):
+        if self._n is None:
+            return map(self.dga.d.monomial_terms, self._basis)
+        return self._ce_images()
+
+    def monomial(self, key) -> tuple:
+        """The normal-form tuple key of an image key."""
+        n = self._n
+        if n is None:
+            return key
+        return tuple(x for i in range(n) if -key >> (n - 1 - i) & 1 for x in (i, 1))
+
+    def _ce_images(self):
+        n = self._n
+        bit = [1 << (n - 1 - i) for i in range(n)]
+        # (bit of x_i, bits of x_a x_b, sign mask, c) per term c x_a x_b of
+        # d x_i; the sign mask holds the generators below i and those
+        # strictly between a and b, so its popcount on R has the sign's parity
+        terms = []
+        for g in self.dga.algebra.generators:
+            i = g.index
+            below = ((1 << i) - 1) << (n - i)
+            for (a, _, b, _), c in self.dga.d.image_of_generator(g.name).terms.items():
+                between = ((1 << (b - a - 1)) - 1) << (n - b)
+                terms.append((bit[i], bit[a] | bit[b], below ^ between, c))
+        for m in map(sum, combinations(bit, self.degree)):
+            image = {}
+            for own, ab, sign, c in terms:
+                if not m & own:
+                    continue
+                rest = m ^ own
+                if rest & ab:
+                    continue
+                key = -(rest | ab)
+                y = image.get(key, 0) + (-c if (rest & sign).bit_count() & 1 else c)
+                if y:
+                    image[key] = y
+                else:
+                    del image[key]
+            yield image
 
 
 class Cohomology:
@@ -93,11 +160,12 @@ class Cohomology:
 
     def _record(self, k: int) -> tuple[int, int, list[dict] | None]:
         """The record of degree k, eliminated rank-only unless cached: the
-        images of d are fed to one Echelon, and no combination is built."""
+        images of d stream into one Echelon, the zero ones skipped, and
+        neither the basis, the images nor a combination is kept."""
         if k not in self._records:
             s = DegreeSlice(self.dga, k)
             echelon = linalg.Echelon()
-            for image in s.images:
+            for image in filter(None, s.images):
                 echelon.add(image)
             self._records[k] = (s.dim, echelon.rank, None)
         return self._records[k]
@@ -137,7 +205,8 @@ class Cohomology:
         if record is None or record[2] is None:
             s = DegreeSlice(self.dga, k)
             kernel = linalg.kernel(s.images)
-            cocycles = [{s.basis[i]: x for i, x in v.items()} for v in kernel]
+            basis = s.basis
+            cocycles = [{basis[i]: x for i, x in v.items()} for v in kernel]
             record = self._records[k] = (s.dim, s.dim - len(kernel), cocycles)
         alg = self.dga.algebra
         return [Element(alg, z) for z in record[2]]
@@ -156,7 +225,7 @@ def _duality(dga: FreeDGA) -> int | None:
     no monomial of degree n-1 is built.
     """
     alg = dga.algebra
-    if any(g != 1 for g in alg.degrees):
+    if _exterior(alg) is None:
         return None
     trace = [0] * len(alg.degrees)
     for j, g in enumerate(alg.generators):
@@ -166,3 +235,9 @@ def _duality(dga: FreeDGA) -> int | None:
             elif a == j:
                 trace[b] += c
     return None if any(trace) else len(trace)
+
+
+def _exterior(alg) -> int | None:
+    """n when the n generators all have degree 1, so that C^k is spanned by
+    the k-subsets of the generators, else None."""
+    return None if any(g != 1 for g in alg.degrees) else len(alg.degrees)

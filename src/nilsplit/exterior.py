@@ -14,8 +14,11 @@ elements on bit-set monomials instead (nilsplit.symplectic).
 
 A Derivation computes d of a monomial from its first block and d of the
 rest by the Leibniz rule, merging keys straight into one term map, and
-caches that map per monomial; DegreeSlice reads the cached maps as its
-sparse columns.
+caches that map per monomial. Applying d to an Element reads the cache,
+and so does a DegreeSlice of an algebra with a generator of degree > 1;
+a slice of a CE model, every generator of degree 1, forms d on bit sets
+from the generator images instead and leaves the cache unfilled
+(nilsplit.cohomology).
 
 The contractions iota_k are formed once, in contraction_columns; the
 forcing system, the nondegeneracy check and the common kernel of the
@@ -402,7 +405,9 @@ class Derivation:
     where g^(e-1) is 1 or an even block, so it commutes with Dg. Each
     product is one merge of monomial keys into a single term map. The
     cache holds D of every monomial reached so far, the suffixes r
-    included, as term maps that are shared and never mutated.
+    included, as term maps that are shared and never mutated. It fills
+    only as elements are differentiated and as slices of algebras with a
+    generator of degree > 1 are read: a CE slice does not use it.
     """
 
     def __init__(self, algebra: GradedAlgebra, images: Mapping[str, Element]):

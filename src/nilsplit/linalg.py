@@ -2,8 +2,9 @@
 
 A vector is a dict from an index to a nonzero exact rational: an int
 when integral, else a Fraction (exterior.exact); absent indices are zero.
-An index is an int or a tuple of indices, such as a monomial key or a
-(row, monomial key) pair, compared as Python compares them. The one
+An index is an int, such as a CE slice's monomial key (see
+cohomology.DegreeSlice), or a tuple of indices, such as a monomial key or
+a (row, monomial key) pair, compared as Python compares them. The one
 division is a pivot's inverse, so integral input stays in ints while the
 pivots it meets are +-1. `Echelon` keeps, in arrival order, the vectors
 that enlarge the span of those kept before them, each only in reduced

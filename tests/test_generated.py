@@ -38,7 +38,7 @@ from nilsplit.bundles import (
 )
 from nilsplit import linalg
 from nilsplit.cohomology import Cohomology, DegreeSlice
-from nilsplit.exterior import Element
+from nilsplit.exterior import Derivation, Element, FreeDGA, GradedAlgebra
 from nilsplit.lie_algebras import LieAlgebraSpec, ce_model, validate
 from nilsplit.symplectic import (
     SymplecticForm,
@@ -499,7 +499,9 @@ def test_cohomology_invariants(corpus, dim8_pairs):
         assert coh.euler_characteristic(n) == 0
         assert betti[1] == n - model.report.derived_dim
         for k in range(n + 1):
-            for image in DegreeSlice(model.dga, k).images:
+            s = DegreeSlice(model.dga, k)
+            for image in s.images:
+                image = {s.monomial(key): c for key, c in image.items()}
                 assert model.d(Element(model.algebra, image)).is_zero(), (model.spec, k)
 
 
@@ -519,6 +521,53 @@ def test_rank_of_d_is_symmetric_about_the_middle(catalog_models, corpus, dim8_pa
         assert ranks == ranks[::-1], (model.spec, ranks)
         moved += len(set(ranks)) > 2
     assert moved >= 20, moved  # most rank sequences are not just 0, r, ..., r, 0
+
+
+def _random_exterior_dga(rng: random.Random, n: int) -> FreeDGA:
+    """n degree-1 generators, each d x_i a random sum of Fraction multiples
+    of x_a x_b over all pairs a < b, x_i itself included: a derivation,
+    not necessarily a differential."""
+    alg = GradedAlgebra([(f"x{i + 1}", 1) for i in range(n)])
+    pairs = list(combinations(range(n), 2))
+    images = {}
+    for g in alg.generators:
+        terms = rng.sample(pairs, rng.randint(0, min(len(pairs), 4)))
+        images[g.name] = alg.element(
+            {(a, 1, b, 1): F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) for a, b in terms}
+        )
+    return FreeDGA(alg, Derivation(alg, images))
+
+
+def test_ce_slice_images_match_derivation(catalog_models, corpus, dim8_pairs):
+    """A CE slice forms d on bit sets without the derivation's memo; with
+    its integer keys translated, every image equals the memo's
+    Leibniz-rule term map, and the basis is the enumerated one."""
+    rng = random.Random(3131)
+    dgas = [model.dga for model in (*catalog_models.values(), *corpus)]
+    dgas += [ce_model(spec).dga for pair in dim8_pairs for spec in pair]
+    dgas += [_random_exterior_dga(rng, rng.randint(2, 7)) for _ in range(60)]
+    for dga in dgas:
+        alg = dga.algebra
+        for k in range(len(alg.generators) + 1):
+            s = DegreeSlice(dga, k)
+            basis = alg.monomials_of_degree(k)
+            assert s.basis == basis and s.dim == len(basis), (alg, k)
+            images = [{s.monomial(key): c for key, c in image.items()} for image in s.images]
+            assert images == [dga.d.monomial_terms(key) for key in basis], (alg, k)
+
+
+def test_ce_integer_keys_sort_like_tuple_keys():
+    """-sum_{i in S} 2^(n-1-i) orders the monomials of one degree as their
+    tuple keys do, and DegreeSlice.monomial reads the tuple key back."""
+    for n in range(1, 13):
+        alg = GradedAlgebra([(f"x{i + 1}", 1) for i in range(n)])
+        dga = FreeDGA(alg, Derivation(alg, {}))
+        for k in range(n + 1):
+            s = DegreeSlice(dga, k)
+            keys = alg.monomials_of_degree(k)  # sorted tuple keys
+            ints = [-sum(1 << (n - 1 - i) for i in key[::2]) for key in keys]
+            assert ints == sorted(set(ints)), (n, k)
+            assert [s.monomial(x) for x in ints] == keys, (n, k)
 
 
 def test_forcing_matches_unit_alpha_oracle(catalog_models, symplectic_forms, corpus, searches):
